@@ -23,13 +23,12 @@ race-workers:
 	ORION_INVARIANTS=1 ORION_WORKERS=4 $(GO) test -race ./...
 
 # Short fuzz pass over every parser that accepts external input (config
-# JSON, fault specs, trace files, journal formats); CI runs the same
+# JSON, fault specs, trace files, the sweep journal); CI runs the same
 # targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadConfigJSON -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/traffic
-	$(GO) test -run '^$$' -fuzz FuzzJournalLine -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzQueueLine -fuzztime 10s ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseBackends -fuzztime 10s ./internal/remote

@@ -12,10 +12,11 @@
 //	orion-sweep -router wormhole -depth 64 -flits 256 \
 //	            -rates 0.02,0.06,0.10,0.14,0.18
 //
-//	# Crash-safe sweep: journal each completed point, resume after a kill:
-//	orion-sweep -preset vc64 -journal sweep.jsonl -resume -csv curve.csv
+//	# Crash-safe sweep: in-process workers run the points through a
+//	# work-queue journal, fsynced per record; resume after a kill:
+//	orion-sweep -preset vc64 -journal sweep.wal -resume -csv curve.csv
 //
-//	# Distributed sweep: 4 worker processes share one work-queue journal;
+//	# Distributed sweep: 4 worker processes share the same journal;
 //	# killed workers lose their leases and survivors re-run their points:
 //	orion-sweep -preset vc64 -distributed 4 -journal sweep.wal -csv curve.csv
 //
@@ -30,10 +31,13 @@
 //	# HTTP (circuit breakers, retries, local fallback when all are down):
 //	orion-sweep -preset vc64 -backends http://hostb:9090,http://hostc:9090 -csv curve.csv
 //
-// SIGINT/SIGTERM cancel the in-flight points, flush the journal and
-// partial results (table and CSV), and exit with status 128+signal.
-// A journaled sweep restarted with -resume skips every point the journal
-// already records as completed.
+// Every sweep with a -journal (or -backends) runs through the one
+// work-queue journal format. SIGINT/SIGTERM cancel the in-flight points,
+// release their claims, flush partial results (table and CSV), and exit
+// with status 128+signal. A journaled sweep restarted with -resume keeps
+// every point the journal records as succeeded or deterministically
+// failed; points whose worker was SIGKILLed are re-run once their claim's
+// -lease expires.
 //
 // Exit status: 0 success; 1 errors; 128+signal when interrupted. With
 // -status: 0 healthy, 3 when any journal point failed, 4 when any
@@ -87,9 +91,9 @@ var (
 	invariants = flag.String("invariants", "auto", "runtime invariant checker: auto, on, off")
 	pointTmo   = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none), e.g. 30s")
 
-	journalPath = flag.String("journal", "", "write-ahead results journal (JSON lines), fsynced per completed point")
-	resumeJrnl  = flag.Bool("resume", false, "resume from an existing -journal, skipping completed points")
-	retries     = flag.Int("retries", 1, "retries per transiently-failed point (journaled sweeps; panic or point timeout only)")
+	journalPath = flag.String("journal", "", "work-queue journal (JSON lines, fsynced per record) that makes the sweep crash-safe and resumable")
+	resumeJrnl  = flag.Bool("resume", false, "resume from an existing -journal, keeping its settled points")
+	retries     = flag.Int("retries", 1, "retries per transiently-failed point (panic or point timeout only)")
 	workers     = flag.Int("workers", 0,
 		"parallel tick workers per point (0 = 1: the sweep already runs points on all cores; results are identical at any count)")
 
@@ -244,6 +248,7 @@ func run() (status int) {
 	cfg.Traffic.Seed = *seed
 	cfg.Sim.PointTimeout = *pointTmo
 	cfg.Sim.Workers = *workers
+	cfg.Sim.PointRetries = *retries
 	switch *invariants {
 	case "auto":
 		cfg.CheckInvariants = orion.InvariantAuto
@@ -353,7 +358,6 @@ func run() (status int) {
 		// whoever merges the queue) owns the output. The worker claims,
 		// heartbeats, runs and commits points until the queue is drained
 		// or it is told to stop.
-		cfg.Sim.PointRetries = *retries
 		stats, werr := orion.SweepWorker(ctx, cfg, rates,
 			orion.SweepWorkerOptions{Path: *journalPath, Lease: *leaseDur, Run: runner})
 		fmt.Fprintf(os.Stderr, "orion-sweep: worker %d: %d claims (%d steals), %d commits, %d leases lost, %d backend-down\n",
@@ -377,16 +381,12 @@ func run() (status int) {
 	var sweepErr error
 	switch {
 	case *distributed > 0:
-		cfg.Sim.PointRetries = *retries
 		results, sweepErr = runCoordinator(ctx, cfg, rates)
-		if results == nil && sweepErr != nil {
-			fail("%v", sweepErr)
-		}
-	case pool != nil:
-		// Remote dispatch always runs through the work-queue protocol so
-		// the exactly-one-commit invariant holds end to end; without an
-		// explicit -journal the queue lives in a throwaway file.
-		cfg.Sim.PointRetries = *retries
+	case *journalPath != "" || pool != nil:
+		// A durable sweep runs in-process workers over a work-queue
+		// journal. Remote dispatch always does, so the exactly-one-commit
+		// invariant holds end to end; without an explicit -journal its
+		// queue lives in a throwaway file.
 		qpath := *journalPath
 		if qpath == "" {
 			qf, qerr := os.CreateTemp("", "orion-sweep-remote-*.wal")
@@ -397,32 +397,23 @@ func run() (status int) {
 			qf.Close()
 			defer os.Remove(qpath)
 		}
+		resume := *resumeJrnl && *journalPath != ""
+		if resume {
+			if err := reportResume(qpath); err != nil {
+				fail("%v", err)
+			}
+		}
 		// Dispatch concurrency: a couple of in-flight points per backend
 		// keeps the fleet busy without flooding any single admission
-		// queue.
-		dw := 2 * len(backendURLs)
-		if dw > len(rates) {
-			dw = len(rates)
-		}
+		// queue. Local workers default to one per core.
 		results, sweepErr = orion.SweepDistributed(ctx, cfg, rates, orion.DistributedSweepOptions{
 			Path:    qpath,
-			Workers: dw,
+			Workers: 2 * len(backendURLs),
 			Lease:   *leaseDur,
-			Resume:  *resumeJrnl && *journalPath != "",
+			Resume:  resume,
 			Run:     runner,
 		})
 		printPoolStats()
-	case *journalPath != "":
-		cfg.Sim.PointRetries = *retries
-		if *resumeJrnl {
-			if n, jerr := orion.JournalPoints(*journalPath); jerr != nil {
-				fail("%v", jerr)
-			} else if n > 0 {
-				fmt.Printf("journal: resuming %s, %d points already recorded\n", *journalPath, n)
-			}
-		}
-		results, sweepErr = orion.SweepJournaledContext(ctx, cfg, rates,
-			orion.SweepJournalOptions{Path: *journalPath, Resume: *resumeJrnl})
 	default:
 		results, sweepErr = orion.SweepContext(ctx, cfg, rates)
 	}
@@ -495,14 +486,8 @@ func run() (status int) {
 func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*orion.Result, error) {
 	n := *distributed
 	if *resumeJrnl {
-		if st, err := orion.JournalStatus(*journalPath); err == nil && len(st) > 0 {
-			settled := 0
-			for _, p := range st {
-				if p.State == "done" || p.State == "failed" {
-					settled++
-				}
-			}
-			fmt.Printf("journal: resuming %s, %d/%d points settled\n", *journalPath, settled, len(st))
+		if err := reportResume(*journalPath); err != nil {
+			return nil, err
 		}
 	}
 	if err := orion.CreateSweepQueue(*journalPath, cfg, rates, *resumeJrnl); err != nil {
@@ -670,9 +655,34 @@ func workerArgs(argv []string) []string {
 	return append(out, "-worker")
 }
 
-// printStatus is -status: the per-point state of a sweep journal (either
-// format), for inspecting a crashed or in-flight sweep. The exit status
-// is machine-readable health: 0 when every point is done, pending or
+// reportResume prints how much of the journal at path a -resume keeps:
+// "journal: resuming PATH, k/n points settled" whenever the file has a
+// header, even when nothing is settled yet. A file that is not a queue
+// journal — a retired v1 journal, say — fails here with its typed error
+// before any worker starts.
+func reportResume(path string) error {
+	pts, err := orion.JournalStatus(path)
+	if err != nil || len(pts) == 0 {
+		return err
+	}
+	fmt.Printf("journal: resuming %s, %d/%d points settled\n", path, settled(pts), len(pts))
+	return nil
+}
+
+// settled counts the points holding a committed result or failure.
+func settled(pts []orion.PointState) int {
+	n := 0
+	for _, p := range pts {
+		if p.State == "done" || p.State == "failed" {
+			n++
+		}
+	}
+	return n
+}
+
+// printStatus is -status: the per-point state of a sweep journal, for
+// inspecting a crashed or in-flight sweep. The exit status is
+// machine-readable health: 0 when every point is done, pending or
 // freshly claimed; 3 when any point failed; 4 when any claim's lease has
 // expired (a worker presumed dead) and nothing failed — so scripts and
 // monitors can branch on a sweep's health without parsing the table.
@@ -686,7 +696,7 @@ func printStatus(path string) int {
 		return 0
 	}
 	fmt.Printf("%5s %8s %-8s %-24s %s\n", "point", "rate", "state", "worker", "detail")
-	settled, failed, expired := 0, 0, 0
+	failed, expired := 0, 0
 	for _, p := range pts {
 		detail := ""
 		switch {
@@ -697,12 +707,9 @@ func printStatus(path string) int {
 			detail = "lease expired (stealable)"
 			expired++
 		}
-		if p.State == "done" || p.State == "failed" {
-			settled++
-		}
 		fmt.Printf("%5d %8.3f %-8s %-24s %s\n", p.Index, p.Rate, p.State, p.Worker, detail)
 	}
-	fmt.Printf("%d/%d points settled\n", settled, len(pts))
+	fmt.Printf("%d/%d points settled\n", settled(pts), len(pts))
 	switch {
 	case failed > 0:
 		fmt.Printf("unhealthy: %d failed point(s)\n", failed)

@@ -15,21 +15,107 @@ import (
 	"orion/internal/queue"
 )
 
-// Distributed sweep execution: the sweep journal promoted to a shared
-// work-queue protocol (internal/queue). Any number of SweepWorker
-// processes on a shared filesystem claim points from one queue journal
-// with leased, heartbeat-renewed claim records; expired leases are
-// stolen, so points held by crashed workers are re-run; and the merged
-// result is byte-identical to a sequential Sweep of the same
-// configuration, because point runs are deterministic and exactly one
-// committed result per point ever takes effect.
+// Durable sweep execution over the work-queue journal (internal/queue),
+// the one on-disk sweep format: a single-host crash-safe sweep, a fleet
+// of worker processes and a remote-backend dispatch all run through it.
+// Any number of SweepWorker loops — goroutines or processes on a shared
+// filesystem — claim points from one queue journal with leased,
+// heartbeat-renewed claim records; expired leases are stolen, so points
+// held by crashed workers are re-run; and the merged result is
+// byte-identical to a sequential Sweep of the same configuration,
+// because point runs are deterministic and exactly one committed result
+// per point ever takes effect.
 
-// sweepConfigDigest computes the hex digest that binds a journal or
-// queue file to one sweep configuration. The injection rate is
-// normalised to zero — the sweep overrides it per point — so sweeps of
-// the same config at different rate lists share a digest and differ in
-// the header's explicit rate list instead.
-func sweepConfigDigest(cfg Config) (string, error) {
+// journalPoint is one completed sweep point. Exactly one of Result and
+// Err is set. ErrKind is the machine classification resume decides with;
+// Faulted records whether the error additionally wrapped ErrFaulted.
+// encoding/json round-trips float64 exactly (shortest-representation
+// marshalling), so a result read back from the journal is bit-identical
+// to the one that was run.
+type journalPoint struct {
+	Index   int     `json:"index"`
+	Rate    float64 `json:"rate"`
+	Result  *Result `json:"result,omitempty"`
+	Err     string  `json:"err,omitempty"`
+	ErrKind string  `json:"err_kind,omitempty"`
+	Faulted bool    `json:"faulted,omitempty"`
+}
+
+// Error-kind labels journaled with failed points.
+const (
+	errKindSaturated = "saturated"
+	errKindDeadlock  = "deadlock"
+	errKindInvariant = "invariant"
+	errKindTimeout   = "timeout"
+	errKindCancelled = "cancelled"
+	errKindFailed    = "failed"
+	// errKindBackendDown: a remote-dispatch point found every backend
+	// open-circuit with local fallback disabled. Transient by nature —
+	// a resume with healthy backends (or fallback enabled) re-runs it.
+	errKindBackendDown = "backend_down"
+)
+
+// errKindOf classifies an error for the journal. Order matters:
+// ErrInvariant first (an invariant failure may also look saturated), the
+// context kinds after the simulator's own sentinels.
+func errKindOf(err error) string {
+	switch {
+	case errors.Is(err, ErrInvariant):
+		return errKindInvariant
+	case errors.Is(err, ErrSaturated):
+		return errKindSaturated
+	case errors.Is(err, ErrDeadlock):
+		return errKindDeadlock
+	case errors.Is(err, ErrBackendDown):
+		return errKindBackendDown
+	case errors.Is(err, context.DeadlineExceeded):
+		return errKindTimeout
+	case errors.Is(err, context.Canceled):
+		return errKindCancelled
+	default:
+		return errKindFailed
+	}
+}
+
+// deterministicKind reports whether a journaled failure would reproduce
+// exactly on a re-run. Deterministic failures are final — resume keeps
+// them; transient ones (timeouts, cancellation, panics) are re-run.
+func deterministicKind(kind string) bool {
+	switch kind {
+	case errKindSaturated, errKindDeadlock, errKindInvariant:
+		return true
+	}
+	return false
+}
+
+// journaledErr reconstructs a typed error from a journaled deterministic
+// failure, preserving errors.Is behaviour across the crash boundary.
+func journaledErr(p journalPoint) error {
+	var base error
+	switch p.ErrKind {
+	case errKindSaturated:
+		base = ErrSaturated
+	case errKindDeadlock:
+		base = ErrDeadlock
+	case errKindInvariant:
+		base = ErrInvariant
+	default:
+		return fmt.Errorf("orion: journaled failure at rate %g: %s", p.Rate, p.Err)
+	}
+	if p.Faulted {
+		return fmt.Errorf("journaled: %w: %w: %s", base, ErrFaulted, p.Err)
+	}
+	return fmt.Errorf("journaled: %w: %s", base, p.Err)
+}
+
+// SweepConfigDigest is the digest that binds work-queue files to one
+// sweep configuration: the hex SHA-256 of the canonical config JSON with
+// the injection rate normalised to zero. The sweep overrides the rate per
+// point, so sweeps of the same config at different rate lists share a
+// digest and differ in the header's explicit rate list instead. The
+// serving layer keys its sweep result cache with it so a served sweep
+// and an on-disk queue of the same configuration share an identity.
+func SweepConfigDigest(cfg Config) (string, error) {
 	normCfg := cfg
 	normCfg.Traffic.Rate = 0
 	digest, err := ConfigDigest(normCfg)
@@ -39,19 +125,10 @@ func sweepConfigDigest(cfg Config) (string, error) {
 	return hex.EncodeToString(digest), nil
 }
 
-// SweepConfigDigest is the exported form of the digest that binds sweep
-// journals and work-queue files to one configuration: the hex SHA-256 of
-// the canonical config JSON with the injection rate normalised to zero.
-// The serving layer keys its sweep result cache with it so a served sweep
-// and an on-disk journal of the same configuration share an identity.
-func SweepConfigDigest(cfg Config) (string, error) {
-	return sweepConfigDigest(cfg)
-}
-
 // sweepQueueHeader builds the queue-journal header identifying this
 // sweep.
 func sweepQueueHeader(cfg Config, rates []float64) (queue.Header, error) {
-	d, err := sweepConfigDigest(cfg)
+	d, err := SweepConfigDigest(cfg)
 	if err != nil {
 		return queue.Header{}, err
 	}
@@ -74,8 +151,9 @@ func wrapQueueErr(err error) error {
 // existing queue's header must match the configuration and rate list —
 // a mismatch fails with an error wrapping ErrStaleJournal — and every
 // point settled by a transient failure (timeout, panic) is re-opened
-// for re-running, mirroring SweepJournaled's resume semantics. Without
-// resume, any existing file is truncated and the sweep starts over.
+// for re-running, while successes and deterministic failures are kept.
+// A missing file is created either way. Without resume, any existing
+// file is truncated and the sweep starts over.
 func CreateSweepQueue(path string, cfg Config, rates []float64, resume bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -201,7 +279,7 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 	}
 	// Workers start their claim scans at different offsets so a fresh
 	// fleet fans out over the rate list instead of racing index 0.
-	start := int(workerHash(id) % uint64(maxInt(len(rates), 1)))
+	start := int(workerHash(id) % uint64(max(len(rates), 1)))
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -349,13 +427,6 @@ func claimJitter(id string, idx int, poll time.Duration) time.Duration {
 		span = 4 * time.Millisecond
 	}
 	return span/4 + time.Duration(h%uint64(span/2))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sleepCtx sleeps for d or until ctx is done, reporting whether the full
@@ -543,11 +614,10 @@ type PointState struct {
 	Err string
 }
 
-// JournalStatus reports per-point state for a sweep journal — either the
-// single-process write-ahead format (version 1) or the distributed
-// work-queue format (version 2) — for operators inspecting a crashed or
-// in-flight fleet. A missing or empty journal yields an empty slice; a
-// malformed one fails with an error wrapping ErrJournal.
+// JournalStatus reports per-point state for a sweep's queue journal, for
+// operators inspecting a crashed or in-flight fleet. A missing or empty
+// journal yields an empty slice; a malformed one — including a retired
+// v1 journal — fails with an error wrapping ErrJournal.
 func JournalStatus(path string) ([]PointState, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -559,37 +629,11 @@ func JournalStatus(path string) ([]PointState, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	if journalImageVersion(data) == queue.Version {
-		st, err := queue.DecodeState(data)
-		if err != nil {
-			return nil, wrapQueueErr(err)
-		}
-		return queuePointStates(st), nil
-	}
-	st, err := readJournal(path)
+	st, err := queue.DecodeState(data)
 	if err != nil {
-		return nil, err
+		return nil, wrapQueueErr(fmt.Errorf("%s: %w", path, err))
 	}
-	if !st.hasHeader {
-		return nil, nil
-	}
-	out := make([]PointState, len(st.header.Rates))
-	for i, r := range st.header.Rates {
-		out[i] = PointState{Index: i, Rate: r, State: "pending"}
-	}
-	for _, p := range st.points {
-		if p.Index < 0 || p.Index >= len(out) {
-			return nil, fmt.Errorf("%w: %s records point index %d outside the %d-rate sweep",
-				ErrJournal, path, p.Index, len(out))
-		}
-		if p.Result != nil {
-			out[p.Index].State = "done"
-		} else {
-			out[p.Index].State = "failed"
-			out[p.Index].Err = p.Err
-		}
-	}
-	return out, nil
+	return queuePointStates(st), nil
 }
 
 // queuePointStates renders a replayed queue state for operators.
@@ -620,26 +664,4 @@ func queuePointStates(st *queue.State) []PointState {
 		out[i] = ps
 	}
 	return out
-}
-
-// journalImageVersion sniffs the format version from a journal image's
-// first intact line; 0 when there is none.
-func journalImageVersion(data []byte) int {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return 0
-	}
-	var h struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data[:nl], &h); err != nil {
-		return 0
-	}
-	return h.Version
 }

@@ -40,8 +40,14 @@ func TestSweepDistributedMatchesSweep(t *testing.T) {
 			t.Errorf("rate %g: distributed result differs from sequential sweep", rates[i])
 		}
 	}
-	if n, err := JournalPoints(path); err != nil || n != len(rates) {
-		t.Fatalf("JournalPoints on queue journal = %d, %v; want %d, nil", n, err, len(rates))
+	st, err := JournalStatus(path)
+	if err != nil || len(st) != len(rates) {
+		t.Fatalf("JournalStatus on queue journal = %v, %v; want %d points", st, err, len(rates))
+	}
+	for _, p := range st {
+		if p.State != "done" {
+			t.Fatalf("point %d = %+v, want done", p.Index, p)
+		}
 	}
 }
 
@@ -163,8 +169,7 @@ func TestSweepWorkerLeaseLost(t *testing.T) {
 // TestDistributedTypedErrors covers the rejection taxonomy end to end:
 // a worker joining a queue for a different configuration or rate list
 // (ErrStaleJournal, also ErrJournal), a malformed queue file
-// (ErrJournal), a stale v1-journal resume digest mismatch
-// (ErrStaleJournal), and a direct lease-loss commit (ErrLeaseLost).
+// (ErrJournal), and a direct lease-loss commit (ErrLeaseLost).
 func TestDistributedTypedErrors(t *testing.T) {
 	cfg := fastConfig(0)
 	rates := []float64{0.02, 0.06}
@@ -182,12 +187,9 @@ func TestDistributedTypedErrors(t *testing.T) {
 	if _, err := SweepWorker(context.Background(), cfg, []float64{0.5}, SweepWorkerOptions{Path: path}); !errors.Is(err, ErrStaleJournal) {
 		t.Fatalf("rate-list mismatch: got %v, want ErrStaleJournal", err)
 	}
-	if err := CreateSweepQueue(path, other, rates, true); !errors.Is(err, ErrStaleJournal) {
-		t.Fatalf("resume with different config: got %v, want ErrStaleJournal", err)
-	}
 
-	// Schema-invalid interior record: ErrJournal for workers, status and
-	// point counting alike.
+	// Schema-invalid interior record: ErrJournal for workers and status
+	// alike.
 	bad := filepath.Join(dir, "bad.wal")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -203,18 +205,6 @@ func TestDistributedTypedErrors(t *testing.T) {
 	}
 	if _, err := JournalStatus(bad); !errors.Is(err, ErrJournal) {
 		t.Fatalf("JournalStatus on malformed queue: got %v, want ErrJournal", err)
-	}
-	if _, err := JournalPoints(bad); !errors.Is(err, ErrJournal) {
-		t.Fatalf("JournalPoints on malformed queue: got %v, want ErrJournal", err)
-	}
-
-	// The v1 journal's digest mismatch carries the same stale sentinel.
-	v1 := filepath.Join(dir, "v1.jsonl")
-	if _, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: v1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SweepJournaled(other, rates, SweepJournalOptions{Path: v1, Resume: true}); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
-		t.Fatalf("v1 digest mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
 
 	// Direct lease loss through the queue layer, with orion's sentinel.
@@ -239,46 +229,59 @@ func TestDistributedTypedErrors(t *testing.T) {
 	}
 }
 
-// TestSweepJournaledRejectsQueueFile: pointing the single-process resume
-// at a distributed queue journal must fail with a clear ErrJournal, not
-// misread claim records as results.
-func TestSweepJournaledRejectsQueueFile(t *testing.T) {
+// TestSweepDistributedRejectsMismatch: resuming (orion-sweep -journal
+// -resume) a journal written by another sweep — different config digest
+// or rate list — fails with ErrStaleJournal wrapping ErrJournal before
+// any point runs, and a journal with a schema-invalid interior record is
+// rejected by resume and the status report alike. (Unparsable lines are
+// not corruption in the multi-writer format: they are skipped as torn.)
+func TestSweepDistributedRejectsMismatch(t *testing.T) {
 	cfg := fastConfig(0)
-	rates := []float64{0.02}
-	path := filepath.Join(t.TempDir(), "sweep.wal")
-	if err := CreateSweepQueue(path, cfg, rates, false); err != nil {
+	rates := []float64{0.02, 0.06}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sweep.wal")
+	opts := DistributedSweepOptions{Path: path, Workers: 1, Lease: time.Second}
+	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); err != nil {
 		t.Fatal(err)
 	}
-	_, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: path, Resume: true})
-	if !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "-distributed") {
-		t.Fatalf("v1 resume on queue file: got %v, want ErrJournal naming -distributed", err)
-	}
-}
 
-// TestJournalStatus covers the operator-facing per-point report for both
-// journal formats.
-func TestJournalStatus(t *testing.T) {
-	cfg := fastConfig(0)
-	dir := t.TempDir()
-
-	// v1: one success, one deterministic failure, one never-run point.
-	// MaxCycles tight enough that the 0.01 point cannot inject its
-	// samples (see TestSweepJournaledResumeKeepsDeterministicFailures).
-	satCfg := cfg
-	satCfg.Sim.MaxCycles = 700
-	v1 := filepath.Join(dir, "v1.jsonl")
-	if _, err := SweepJournaled(satCfg, []float64{0.2, 0.01}, SweepJournalOptions{Path: v1}); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("want saturation, got %v", err)
+	opts.Resume = true
+	other := cfg
+	other.Traffic.Seed++
+	if _, err := SweepDistributed(context.Background(), other, rates, opts); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
+		t.Fatalf("config mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
-	st, err := JournalStatus(v1)
+	if _, err := SweepDistributed(context.Background(), cfg, []float64{0.02, 0.07}, opts); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
+		t.Fatalf("rate-list mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
+	}
+
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st) != 2 || st[0].State != "done" || st[1].State != "failed" || st[1].Err == "" {
-		t.Fatalf("v1 status = %+v", st)
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("journal has %d lines, want header + records", len(lines))
 	}
+	corrupt := filepath.Join(dir, "corrupt.wal")
+	body := lines[0] + `{"t":"commit","index":99,"w":"x"}` + "\n" + strings.Join(lines[1:], "") + "\n"
+	if err := os.WriteFile(corrupt, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.Path = corrupt
+	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); !errors.Is(err, ErrJournal) {
+		t.Fatalf("corrupt interior line: got %v, want ErrJournal", err)
+	}
+	if _, err := JournalStatus(corrupt); !errors.Is(err, ErrJournal) {
+		t.Fatalf("JournalStatus on corrupt journal: got %v, want ErrJournal", err)
+	}
+}
 
-	// v2: one committed, one claimed with an expired lease, one pending.
+// TestJournalStatus covers the operator-facing per-point report: one
+// committed, one claimed with an expired lease, one pending.
+func TestJournalStatus(t *testing.T) {
+	cfg := fastConfig(0)
+	dir := t.TempDir()
 	rates := []float64{0.02, 0.05, 0.08}
 	v2 := filepath.Join(dir, "v2.wal")
 	if err := CreateSweepQueue(v2, cfg, rates, false); err != nil {
@@ -303,7 +306,7 @@ func TestJournalStatus(t *testing.T) {
 		t.Fatalf("claim: won=%v err=%v", won, err)
 	}
 	time.Sleep(10 * time.Millisecond)
-	st, err = JournalStatus(v2)
+	st, err := JournalStatus(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +374,194 @@ func TestSweepDistributedResumeReopensTransients(t *testing.T) {
 		if fingerprint(clean[i]) != fingerprint(results[i]) {
 			t.Errorf("rate %g: resumed result differs from sequential sweep", rates[i])
 		}
+	}
+}
+
+// TestSweepDistributedResumeAfterCrash reconstructs a SIGKILL: the
+// queue journal cut off after its second committed point, with the next
+// record torn mid-write and the unfinished points still claimed by dead
+// workers. The resumed sweep must keep the committed points, steal the
+// orphaned claims once their leases lapse, and return results
+// bit-identical to an uninterrupted sweep.
+func TestSweepDistributedResumeAfterCrash(t *testing.T) {
+	cfg := fastConfig(0)
+	rates := []float64{0.02, 0.06, 0.10, 0.14}
+	clean, err := Sweep(cfg, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.wal")
+	opts := DistributedSweepOptions{Path: full, Workers: 2, Lease: 100 * time.Millisecond}
+	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	cut, done := 0, 0
+	for cut < len(lines) && done < 2 {
+		if strings.Contains(lines[cut], `"t":"done"`) {
+			done++
+		}
+		cut++
+	}
+	if done < 2 || cut >= len(lines)-1 {
+		t.Fatalf("journal too short to crash after two commits: %d lines", len(lines))
+	}
+	crashed := filepath.Join(dir, "crashed.wal")
+	torn := lines[cut][:len(lines[cut])/2]
+	if err := os.WriteFile(crashed, []byte(strings.Join(lines[:cut], "")+torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := JournalStatus(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[int]bool{}
+	for _, p := range before {
+		if p.State == "done" {
+			kept[p.Index] = true
+		}
+	}
+	if len(kept) != 2 {
+		t.Fatalf("crash image settles %d points, want 2: %+v", len(kept), before)
+	}
+
+	var reruns atomic.Int64
+	opts.Path, opts.Resume = crashed, true
+	opts.Run = func(ctx context.Context, cfg Config, rate float64) (*Result, error) {
+		for i, r := range rates {
+			if r == rate && kept[i] {
+				t.Errorf("rate %g: committed point re-run on resume", rate)
+			}
+		}
+		reruns.Add(1)
+		return RunPoint(ctx, cfg, rate)
+	}
+	resumed, err := SweepDistributed(context.Background(), cfg, rates, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reruns.Load(); got != int64(len(rates)-2) {
+		t.Fatalf("resume ran %d points, want %d", got, len(rates)-2)
+	}
+	for i := range rates {
+		if resumed[i] == nil || fingerprint(clean[i]) != fingerprint(resumed[i]) {
+			t.Errorf("rate %g: resumed result differs from clean sweep", rates[i])
+		}
+	}
+}
+
+// TestSweepDistributedResumeKeepsDeterministicFailures commits a sweep
+// with a deliberately saturating point and requires resume to keep the
+// committed ErrSaturated — typed under errors.Is across the crash
+// boundary — instead of re-running the hopeless point.
+func TestSweepDistributedResumeKeepsDeterministicFailures(t *testing.T) {
+	// MaxCycles is tight enough that the 0.01 point cannot even inject
+	// its 300 samples (0.16 packets/cycle network-wide needs ~1900
+	// cycles) while the 0.2 point finishes comfortably — a deterministic
+	// ErrSaturated at exactly one rate.
+	cfg := fastConfig(0)
+	cfg.Sim.MaxCycles = 700
+	rates := []float64{0.2, 0.01}
+	path := filepath.Join(t.TempDir(), "sat.wal")
+	opts := DistributedSweepOptions{Path: path, Workers: 2, Lease: time.Second}
+	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("saturating sweep: got %v, want ErrSaturated", err)
+	}
+	st, err := JournalStatus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st[0].State != "done" || st[1].State != "failed" || st[1].Err == "" {
+		t.Fatalf("status = %+v, want point 0 done, point 1 failed", st)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Resume = true
+	opts.Run = func(context.Context, Config, float64) (*Result, error) {
+		t.Error("resume re-ran a settled point")
+		return nil, errors.New("unexpected run")
+	}
+	results, err := SweepDistributed(context.Background(), cfg, rates, opts)
+	if !errors.Is(err, ErrSaturated) {
+		t.Fatalf("resume lost the committed saturation: %v", err)
+	}
+	var serr *SweepError
+	if !errors.As(err, &serr) || len(serr.Rates) != 1 || serr.Rates[0] != 0.01 {
+		t.Fatalf("resume misattributed the failure: %v", err)
+	}
+	if results[0] == nil || results[1] != nil {
+		t.Fatalf("resume results wrong: %v", results)
+	}
+	// Nothing re-ran and nothing was re-opened, so nothing was appended.
+	if after, err := os.ReadFile(path); err != nil || len(after) != len(before) {
+		t.Fatalf("resume appended %d bytes to a settled journal (%v)", len(after)-len(before), err)
+	}
+}
+
+// TestSweepDistributedResumeMissingFileStartsFresh: Resume against a
+// nonexistent journal behaves like a fresh sweep — the CLI user passes
+// -resume on the first run too, and it must not fail.
+func TestSweepDistributedResumeMissingFileStartsFresh(t *testing.T) {
+	cfg := fastConfig(0)
+	path := filepath.Join(t.TempDir(), "fresh.wal")
+	results, err := SweepDistributed(context.Background(), cfg, []float64{0.04}, DistributedSweepOptions{
+		Path: path, Workers: 1, Lease: time.Second, Resume: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0] == nil {
+		t.Fatal("fresh resumed sweep returned no result")
+	}
+	if st, err := JournalStatus(path); err != nil || len(st) != 1 || st[0].State != "done" {
+		t.Fatalf("fresh journal status = %+v, %v; want one done point", st, err)
+	}
+}
+
+// TestSweepQueueRejectsV1Journal: a journal in the retired v1
+// single-process format is rejected by every entry point that reads one
+// — resume, a joining worker and the status report — with an error
+// wrapping ErrJournal that names the format and the fix. Restarting
+// without resume replaces it.
+func TestSweepQueueRejectsV1Journal(t *testing.T) {
+	cfg := fastConfig(0)
+	rates := []float64{0.02}
+	path := filepath.Join(t.TempDir(), "v1.jsonl")
+	digest, err := SweepConfigDigest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := fmt.Sprintf(`{"version":1,"config_digest":%q,"rates":[0.02]}`+"\n"+
+		`{"index":0,"rate":0.02,"err":"x","err_kind":"saturated"}`+"\n", digest)
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "v1") ||
+			!strings.Contains(err.Error(), "without -resume") {
+			t.Fatalf("%s on a v1 journal: got %v, want ErrJournal naming v1 and the restart", what, err)
+		}
+	}
+	check("CreateSweepQueue(resume)", CreateSweepQueue(path, cfg, rates, true))
+	_, err = SweepWorker(context.Background(), cfg, rates, SweepWorkerOptions{Path: path})
+	check("SweepWorker", err)
+	_, err = JournalStatus(path)
+	check("JournalStatus", err)
+
+	if err := CreateSweepQueue(path, cfg, rates, false); err != nil {
+		t.Fatalf("fresh restart over a v1 journal: %v", err)
+	}
+	if st, err := JournalStatus(path); err != nil || len(st) != 1 || st[0].State != "pending" {
+		t.Fatalf("restarted journal status = %+v, %v; want one pending point", st, err)
 	}
 }
 

@@ -26,6 +26,12 @@ func FuzzQueueLine(f *testing.F) {
 	f.Add([]byte(`{"version":1,"config_digest":"ab","rates":[0.1]}` + "\n"))
 	f.Add([]byte("not a header\nmore\n"))
 	f.Add([]byte("\n\n"))
+	// Retired v1 single-process journals: every shape must hit the
+	// version rejection, never be misread as queue records.
+	f.Add([]byte(`{"version":1,"config_digest":"ab","rates":[0.1]}` + "\n" +
+		`{"index":0,"rate":0.1,"err":"x","err_kind":"saturated"}` + "\n"))
+	f.Add([]byte(`{"version":1}` + "\n" + `{"index":0` /* torn tail */))
+	f.Add([]byte(`{"version":1}` + "\n" + `garbage` + "\n" + `{"index":1}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)

@@ -1,6 +1,6 @@
-// Package queue turns the sweep journal's append-only JSONL format into
-// a shared work-queue protocol: any number of worker processes on a
-// shared filesystem claim sweep points with leased, heartbeat-renewed
+// Package queue is the sweep journal: an append-only JSONL work-queue
+// protocol in which any number of workers — goroutines in one process,
+// or processes on a shared filesystem — claim sweep points with leased, heartbeat-renewed
 // claim records, steal claims whose leases have expired, and commit
 // results, all over a single append-only file.
 //
@@ -19,8 +19,8 @@
 // file, and replays it. If the replay names the worker as the point's
 // holder, it won; otherwise another worker's record landed first and the
 // claim is a dead line in the log. No byte of the file is ever
-// overwritten, so the format inherits (and extends) the journal's
-// torn-tail tolerance: a crash mid-append leaves dead bytes that every
+// overwritten, so the format tolerates torn lines from any number of
+// writers: a crash mid-append leaves dead bytes that every
 // reader deterministically skips, and a live writer whose append was
 // concatenated onto a torn line observes — via the same re-read — that
 // its record never took effect, and retries on a fresh line.
@@ -48,10 +48,9 @@ import (
 	"fmt"
 )
 
-// Version is the work-queue journal format version. It deliberately
-// differs from the single-process sweep journal's version 1, so each
-// reader rejects the other's files with a clear error instead of
-// misinterpreting records.
+// Version is the work-queue journal format version. Version 1 was the
+// retired single-process sweep journal; its files are rejected with a
+// hint to restart the sweep rather than misread.
 const Version = 2
 
 // Typed sentinels. ErrQueue marks a file that is not a queue journal
@@ -67,9 +66,10 @@ var (
 	ErrLeaseLost = errors.New("queue: lease lost, result discarded")
 )
 
-// Header is the queue journal's first line. It matches the sweep
-// journal's header schema (version, config digest, rate list) so the two
-// formats are distinguished by the version number alone.
+// Header is the queue journal's first line: the format version, the
+// sweep's configuration digest and its exact rate list, so record
+// indices are unambiguous. The retired v1 journal used the same header
+// schema, so its files are told apart by the version number alone.
 type Header struct {
 	Version      int       `json:"version"`
 	ConfigDigest string    `json:"config_digest"`
@@ -276,8 +276,8 @@ func Replay(hdr Header, recs []Record) *State {
 // DecodeState parses a whole queue-journal image and replays it — the
 // read half of the protocol, shared by Load and the fuzz target.
 //
-// Unlike the single-writer sweep journal, unparsable lines are tolerated
-// anywhere, not just at the tail: in a multi-writer append-only log, a
+// Unparsable lines are tolerated anywhere, not just at the tail: in a
+// multi-writer append-only log, a
 // crash can leave a torn line that the next live writer's append is
 // concatenated onto, so dead bytes can end up in the interior. Every
 // reader deterministically skips the same dead bytes, and the
@@ -329,6 +329,9 @@ func parseLines(data []byte) (hdr *Header, recs []Record, err error) {
 					return nil, nil, nil
 				}
 				return nil, nil, fmt.Errorf("%w: file does not start with a queue header", ErrQueue)
+			}
+			if h.Version == 1 {
+				return nil, nil, fmt.Errorf("%w: a v1 sweep journal, a format this build no longer reads; restart the sweep without -resume to replace it", ErrQueue)
 			}
 			if h.Version != Version {
 				return nil, nil, fmt.Errorf("%w: format version %d, this build speaks %d", ErrQueue, h.Version, Version)

@@ -556,8 +556,8 @@ func SweepWithRunner(ctx context.Context, cfg Config, rates []float64, run Point
 }
 
 // collectSweepError aggregates per-point failures into a *SweepError in
-// rate order, or nil when every point succeeded. Shared by the plain,
-// journaled and distributed sweep paths so all three report failures
+// rate order, or nil when every point succeeded. Shared by the
+// in-memory and queue-backed sweep paths so both report failures
 // identically.
 func collectSweepError(rates []float64, errs []error) *SweepError {
 	var serr *SweepError
@@ -631,14 +631,7 @@ func pointBackoffDelay(attempt int, rate float64) time.Duration {
 // It returns false if the sweep was cancelled while waiting (a cancelled
 // context returns immediately).
 func pointBackoff(ctx context.Context, attempt int, rate float64) bool {
-	t := time.NewTimer(pointBackoffDelay(attempt, rate))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	return sleepCtx(ctx, pointBackoffDelay(attempt, rate))
 }
 
 // runPointOnce is a single attempt at a sweep point.

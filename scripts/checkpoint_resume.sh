@@ -33,18 +33,18 @@ for _ in $(seq 1 600); do
     if ! kill -0 "$PID" 2>/dev/null; then
         break
     fi
-    lines=0
+    done_recs=0
     if [ -f "$WORK/sweep.jsonl" ]; then
-        lines=$(wc -l < "$WORK/sweep.jsonl")
+        done_recs=$(grep -c '"t":"done"' "$WORK/sweep.jsonl" || true)
     fi
-    if [ "$lines" -ge 3 ]; then # header + 2 points
+    if [ "$done_recs" -ge 2 ]; then # 2 committed points
         break
     fi
     sleep 0.2
 done
 if kill -9 "$PID" 2>/dev/null; then
     wait "$PID" 2>/dev/null || true
-    echo "killed sweep with $(($(wc -l < "$WORK/sweep.jsonl") - 1)) journaled points"
+    echo "killed sweep with $(grep -c '"t":"done"' "$WORK/sweep.jsonl" || true) journaled points"
 else
     wait "$PID" 2>/dev/null || true
     echo "note: sweep finished before the kill; resume degenerates to a pure journal merge" >&2
