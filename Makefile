@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-workers fuzz-smoke bench-smoke bench bench-compare distributed-sweep remote-sweep serve-smoke ci
+.PHONY: build vet test race race-workers fuzz-smoke bench-smoke bench bench-compare checkpoint-resume distributed-sweep remote-sweep serve-smoke sweep-gates ci
 
 build:
 	$(GO) build ./...
@@ -23,15 +23,21 @@ race-workers:
 	ORION_INVARIANTS=1 ORION_WORKERS=4 $(GO) test -race ./...
 
 # Short fuzz pass over every parser that accepts external input (config
-# JSON, fault specs, trace files, the sweep journal); CI runs the same
-# targets.
+# JSON, fault specs, trace files, snapshots, the sweep journal, serve
+# requests, backend lists); CI runs the same targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadConfigJSON -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/traffic
+	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzQueueLine -fuzztime 10s ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseBackends -fuzztime 10s ./internal/remote
+
+# End-to-end crash-safety gate: a journaled sweep SIGKILLed mid-run and
+# resumed must write a CSV byte-identical to an uninterrupted sweep.
+checkpoint-resume:
+	scripts/checkpoint_resume.sh
 
 # End-to-end distributed-sweep chaos gate: 4 worker processes, two
 # SIGKILLed mid-run, merged CSV byte-identical to a clean sweep.
@@ -49,6 +55,9 @@ remote-sweep:
 # drain with exit 0, cache entries surviving a restart.
 serve-smoke:
 	scripts/serve_smoke.sh
+
+# Every end-to-end sweep and serve gate, one after another.
+sweep-gates: checkpoint-resume distributed-sweep remote-sweep serve-smoke
 
 # A fast allocation-regression check: the Publish and router-tick
 # micro-benchmarks must report 0 allocs/op (also pinned by the

@@ -31,10 +31,11 @@
 //	# HTTP (circuit breakers, retries, local fallback when all are down):
 //	orion-sweep -preset vc64 -backends http://hostb:9090,http://hostc:9090 -csv curve.csv
 //
-// Every sweep with a -journal (or -backends) runs through the one
-// work-queue journal format. SIGINT/SIGTERM cancel the in-flight points,
-// release their claims, flush partial results (table and CSV), and exit
-// with status 128+signal. A journaled sweep restarted with -resume keeps
+// A sweep with a -journal runs through the work-queue journal format;
+// without one (a -backends sweep included) it runs in memory.
+// SIGINT/SIGTERM cancel the in-flight points, release their claims,
+// flush partial results (table and CSV), and exit with status
+// 128+signal. A journaled sweep restarted with -resume keeps
 // every point the journal records as succeeded or deterministically
 // failed; points whose worker was SIGKILLed are re-run once their claim's
 // -lease expires.
@@ -191,6 +192,9 @@ func run() (status int) {
 		if explicitlySet["backend-retries"] {
 			fail("-backend-retries: requires -backends")
 		}
+	}
+	if *resumeJrnl && *journalPath == "" {
+		fail("-resume: requires -journal")
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -366,70 +370,39 @@ func run() (status int) {
 		if werr != nil && !errors.Is(werr, context.Canceled) {
 			fail("worker: %v", werr)
 		}
-		select {
-		case s := <-caught:
-			if ss, ok := s.(syscall.Signal); ok {
-				return 128 + int(ss)
-			}
-			return 1
-		default:
-		}
-		return 0
+		return exitStatus(caught)
 	}
 
+	if *resumeJrnl {
+		if err := reportResume(*journalPath); err != nil {
+			fail("%v", err)
+		}
+	}
 	var results []*orion.Result
 	var sweepErr error
-	switch {
-	case *distributed > 0:
+	if *distributed > 0 {
 		results, sweepErr = runCoordinator(ctx, cfg, rates)
-	case *journalPath != "" || pool != nil:
-		// A durable sweep runs in-process workers over a work-queue
-		// journal. Remote dispatch always does, so the exactly-one-commit
-		// invariant holds end to end; without an explicit -journal its
-		// queue lives in a throwaway file.
-		qpath := *journalPath
-		if qpath == "" {
-			qf, qerr := os.CreateTemp("", "orion-sweep-remote-*.wal")
-			if qerr != nil {
-				fail("creating remote dispatch queue: %v", qerr)
-			}
-			qpath = qf.Name()
-			qf.Close()
-			defer os.Remove(qpath)
-		}
-		resume := *resumeJrnl && *journalPath != ""
-		if resume {
-			if err := reportResume(qpath); err != nil {
-				fail("%v", err)
-			}
-		}
+	} else {
 		// Dispatch concurrency: a couple of in-flight points per backend
 		// keeps the fleet busy without flooding any single admission
-		// queue. Local workers default to one per core.
-		results, sweepErr = orion.SweepDistributed(ctx, cfg, rates, orion.DistributedSweepOptions{
-			Path:    qpath,
-			Workers: 2 * len(backendURLs),
+		// queue. Local points default to one per core (Workers 0).
+		results, sweepErr = orion.SweepWith(ctx, cfg, rates, orion.SweepOptions{
+			Journal: *journalPath,
+			Resume:  *resumeJrnl,
 			Lease:   *leaseDur,
-			Resume:  resume,
 			Run:     runner,
+			Workers: 2 * len(backendURLs),
 		})
 		printPoolStats()
-	default:
-		results, sweepErr = orion.SweepContext(ctx, cfg, rates)
 	}
 	if results == nil && sweepErr != nil {
 		fail("%v", sweepErr)
 	}
-	pointErrs := make(map[int]error)
+	pointErrs := make([]error, len(rates))
 	var serr *orion.SweepError
 	if errors.As(sweepErr, &serr) {
-		for j, r := range serr.Rates {
-			for i, rate := range rates {
-				if rate == r && results[i] == nil && pointErrs[i] == nil {
-					pointErrs[i] = serr.Errs[j]
-					break
-				}
-			}
+		for j, i := range serr.Points {
+			pointErrs[i] = serr.Errs[j]
 		}
 	}
 	fmt.Printf("%8s %12s %14s %12s\n", "rate", "latency", "throughput", "power(W)")
@@ -440,7 +413,7 @@ func run() (status int) {
 			// An over-saturated point that could not finish marks saturation;
 			// other failures (timeout, deadlock, cancellation) say nothing
 			// about the latency curve.
-			if errors.Is(pointErrs[i], orion.ErrSaturated) && (!satFound || rates[i] < sat) {
+			if orion.FailureCode(pointErrs[i]) == orion.CodeSaturated && (!satFound || rates[i] < sat) {
 				sat, satFound = rates[i], true
 			}
 			continue
@@ -463,7 +436,12 @@ func run() (status int) {
 		}
 		fmt.Printf("curve written to %s\n", *csvOut)
 	}
+	return exitStatus(caught)
+}
 
+// exitStatus is 128+signal when a caught signal interrupted the run,
+// else 0.
+func exitStatus(caught <-chan os.Signal) int {
 	select {
 	case s := <-caught:
 		if ss, ok := s.(syscall.Signal); ok {
@@ -471,8 +449,8 @@ func run() (status int) {
 		}
 		return 1
 	default:
+		return 0
 	}
-	return 0
 }
 
 // runCoordinator is -distributed N: it initialises the shared work-queue
@@ -485,11 +463,6 @@ func run() (status int) {
 // single-process sweep.
 func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*orion.Result, error) {
 	n := *distributed
-	if *resumeJrnl {
-		if err := reportResume(*journalPath); err != nil {
-			return nil, err
-		}
-	}
 	if err := orion.CreateSweepQueue(*journalPath, cfg, rates, *resumeJrnl); err != nil {
 		return nil, err
 	}
@@ -721,24 +694,23 @@ func printStatus(path string) int {
 	return 0
 }
 
-// classify renders a failed point's error as a short cause tag using the
-// package's typed sentinels.
+// causeText is the display tag of each failure code; other codes show
+// as "failed".
+var causeText = map[string]string{
+	orion.CodeSaturated: "over-saturated",
+	orion.CodeDeadlock:  "no progress",
+	orion.CodeInvariant: "invariant violated",
+	orion.CodeTimeout:   "point timeout",
+	orion.CodeCancelled: "cancelled",
+}
+
+// classify renders a failed point's error as a short cause tag.
 func classify(err error) string {
-	var cause string
-	switch {
-	case err == nil:
+	if err == nil {
 		return "run aborted"
-	case errors.Is(err, orion.ErrSaturated):
-		cause = "over-saturated"
-	case errors.Is(err, orion.ErrDeadlock):
-		cause = "no progress"
-	case errors.Is(err, orion.ErrInvariant):
-		cause = "invariant violated"
-	case errors.Is(err, context.DeadlineExceeded):
-		cause = "point timeout"
-	case errors.Is(err, context.Canceled):
-		cause = "cancelled"
-	default:
+	}
+	cause, ok := causeText[orion.FailureCode(err)]
+	if !ok {
 		cause = "failed"
 	}
 	if errors.Is(err, orion.ErrFaulted) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 )
 
 // Durable sweep execution over the work-queue journal (internal/queue),
-// the one on-disk sweep format: a single-host crash-safe sweep, a fleet
-// of worker processes and a remote-backend dispatch all run through it.
+// the one on-disk sweep format: a journaled SweepWith and a fleet of
+// worker processes both run through it.
 // Any number of SweepWorker loops — goroutines or processes on a shared
 // filesystem — claim points from one queue journal with leased,
 // heartbeat-renewed claim records; expired leases are stolen, so points
@@ -27,8 +26,9 @@ import (
 // per point ever takes effect.
 
 // journalPoint is one completed sweep point. Exactly one of Result and
-// Err is set. ErrKind is the machine classification resume decides with;
-// Faulted records whether the error additionally wrapped ErrFaulted.
+// Err is set. ErrKind is the error's FailureCode, which resume decides
+// with; Faulted records whether the error additionally wrapped
+// ErrFaulted.
 // encoding/json round-trips float64 exactly (shortest-representation
 // marshalling), so a result read back from the journal is bit-identical
 // to the one that was run.
@@ -39,73 +39,6 @@ type journalPoint struct {
 	Err     string  `json:"err,omitempty"`
 	ErrKind string  `json:"err_kind,omitempty"`
 	Faulted bool    `json:"faulted,omitempty"`
-}
-
-// Error-kind labels journaled with failed points.
-const (
-	errKindSaturated = "saturated"
-	errKindDeadlock  = "deadlock"
-	errKindInvariant = "invariant"
-	errKindTimeout   = "timeout"
-	errKindCancelled = "cancelled"
-	errKindFailed    = "failed"
-	// errKindBackendDown: a remote-dispatch point found every backend
-	// open-circuit with local fallback disabled. Transient by nature —
-	// a resume with healthy backends (or fallback enabled) re-runs it.
-	errKindBackendDown = "backend_down"
-)
-
-// errKindOf classifies an error for the journal. Order matters:
-// ErrInvariant first (an invariant failure may also look saturated), the
-// context kinds after the simulator's own sentinels.
-func errKindOf(err error) string {
-	switch {
-	case errors.Is(err, ErrInvariant):
-		return errKindInvariant
-	case errors.Is(err, ErrSaturated):
-		return errKindSaturated
-	case errors.Is(err, ErrDeadlock):
-		return errKindDeadlock
-	case errors.Is(err, ErrBackendDown):
-		return errKindBackendDown
-	case errors.Is(err, context.DeadlineExceeded):
-		return errKindTimeout
-	case errors.Is(err, context.Canceled):
-		return errKindCancelled
-	default:
-		return errKindFailed
-	}
-}
-
-// deterministicKind reports whether a journaled failure would reproduce
-// exactly on a re-run. Deterministic failures are final — resume keeps
-// them; transient ones (timeouts, cancellation, panics) are re-run.
-func deterministicKind(kind string) bool {
-	switch kind {
-	case errKindSaturated, errKindDeadlock, errKindInvariant:
-		return true
-	}
-	return false
-}
-
-// journaledErr reconstructs a typed error from a journaled deterministic
-// failure, preserving errors.Is behaviour across the crash boundary.
-func journaledErr(p journalPoint) error {
-	var base error
-	switch p.ErrKind {
-	case errKindSaturated:
-		base = ErrSaturated
-	case errKindDeadlock:
-		base = ErrDeadlock
-	case errKindInvariant:
-		base = ErrInvariant
-	default:
-		return fmt.Errorf("orion: journaled failure at rate %g: %s", p.Rate, p.Err)
-	}
-	if p.Faulted {
-		return fmt.Errorf("journaled: %w: %w: %s", base, ErrFaulted, p.Err)
-	}
-	return fmt.Errorf("journaled: %w: %s", base, p.Err)
 }
 
 // SweepConfigDigest is the digest that binds work-queue files to one
@@ -133,6 +66,20 @@ func sweepQueueHeader(cfg Config, rates []float64) (queue.Header, error) {
 		return queue.Header{}, err
 	}
 	return queue.Header{Version: queue.Version, ConfigDigest: d, Rates: rates}, nil
+}
+
+// openQueue opens this sweep's queue journal at path; one written for
+// another configuration or rate list fails with ErrStaleJournal.
+func openQueue(cfg Config, rates []float64, path string) (*queue.File, error) {
+	hdr, err := sweepQueueHeader(cfg, rates)
+	if err != nil {
+		return nil, err
+	}
+	qf, err := queue.Open(path, hdr)
+	if err != nil {
+		return nil, wrapQueueErr(err)
+	}
+	return qf, nil
 }
 
 // wrapQueueErr ties internal/queue's sentinels into the package's error
@@ -248,13 +195,9 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 	if err := cfg.Validate(); err != nil {
 		return stats, err
 	}
-	hdr, err := sweepQueueHeader(cfg, rates)
+	qf, err := openQueue(cfg, rates, opts.Path)
 	if err != nil {
 		return stats, err
-	}
-	qf, err := queue.Open(opts.Path, hdr)
-	if err != nil {
-		return stats, wrapQueueErr(err)
 	}
 	defer qf.Close()
 
@@ -364,14 +307,14 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 			p.Result = res
 		} else {
 			p.Err = rerr.Error()
-			p.ErrKind = errKindOf(rerr)
+			p.ErrKind = FailureCode(rerr)
 			p.Faulted = errors.Is(rerr, ErrFaulted)
 		}
 		payload, merr := json.Marshal(p)
 		if merr != nil {
 			return stats, fmt.Errorf("orion: encoding queue result: %w", merr)
 		}
-		final := rerr == nil || deterministicKind(p.ErrKind)
+		final := rerr == nil || DeterministicCode(p.ErrKind)
 		switch cerr := qf.Commit(idx, id, payload, final); {
 		case errors.Is(cerr, ErrLeaseLost):
 			// Paused past the lease and stolen from: the thief re-runs
@@ -445,15 +388,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // mergeQueueState decodes the committed payloads into results in index
 // order — the deterministic merge that makes a distributed sweep's
 // output byte-identical to a sequential Sweep's. Unsettled points stay
-// nil; settled failures are reconstructed as typed errors (journaledErr)
-// and aggregated into a *SweepError exactly like Sweep does.
+// nil; settled failures are rebuilt as typed errors (FailureError) and
+// aggregated into a *SweepError exactly like Sweep does.
 func mergeQueueState(st *queue.State, rates []float64) ([]*Result, error) {
 	results := make([]*Result, len(rates))
 	errs := make([]error, len(rates))
-	for i := range st.Points {
-		if i >= len(rates) {
-			break
-		}
+	for i := range results {
 		p := st.Points[i]
 		if p.Status != queue.Done {
 			continue
@@ -465,7 +405,7 @@ func mergeQueueState(st *queue.State, rates []float64) ([]*Result, error) {
 		if jp.Result != nil {
 			results[i] = jp.Result
 		} else {
-			errs[i] = journaledErr(jp)
+			errs[i] = FailureError(jp.ErrKind, jp.Faulted, jp.Err)
 		}
 	}
 	if serr := collectSweepError(rates, errs); serr != nil {
@@ -474,91 +414,63 @@ func mergeQueueState(st *queue.State, rates []float64) ([]*Result, error) {
 	return results, nil
 }
 
+// loadQueue opens the queue journal at path for this sweep, replays it
+// and merges the committed results (mergeQueueState). st is nil when the
+// journal could not be opened or read, and err then says why.
+func loadQueue(cfg Config, rates []float64, path string) (st *queue.State, results []*Result, err error) {
+	qf, err := openQueue(cfg, rates, path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer qf.Close()
+	if st, err = qf.Load(); err != nil {
+		return nil, nil, wrapQueueErr(err)
+	}
+	results, err = mergeQueueState(st, rates)
+	return st, results, err
+}
+
 // SweepQueueWait blocks until every point in the queue journal at path
 // is settled, then merges the committed results in index order —
 // byte-identical to a sequential Sweep of the same configuration. This
-// is the coordinator's second half: workers (local goroutines via
-// SweepDistributed, or separate `orion-sweep -worker` processes) fill
-// the queue; SweepQueueWait watches and merges. On ctx cancellation the
-// partial merge is returned together with ctx's error.
+// is the coordinator's second half: workers (separate `orion-sweep
+// -worker` processes, or SweepWorker loops) fill the queue;
+// SweepQueueWait watches and merges. On ctx cancellation the partial
+// merge is returned together with ctx's error.
 func SweepQueueWait(ctx context.Context, cfg Config, rates []float64, path string, poll time.Duration) ([]*Result, error) {
-	hdr, err := sweepQueueHeader(cfg, rates)
-	if err != nil {
-		return nil, err
-	}
-	qf, err := queue.Open(path, hdr)
-	if err != nil {
-		return nil, wrapQueueErr(err)
-	}
-	defer qf.Close()
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
 	for {
-		st, err := qf.Load()
-		if err != nil {
-			return nil, wrapQueueErr(err)
-		}
-		if st.Complete() {
-			return mergeQueueState(st, rates)
-		}
-		if ctx.Err() != nil {
-			results, merr := mergeQueueState(st, rates)
-			return results, errors.Join(ctx.Err(), merr)
+		st, results, err := loadQueue(cfg, rates, path)
+		switch {
+		case st == nil || st.Complete():
+			return results, err
+		case ctx.Err() != nil:
+			return results, errors.Join(ctx.Err(), err)
 		}
 		sleepCtx(ctx, poll)
 	}
 }
 
-// DistributedSweepOptions configures SweepDistributed.
-type DistributedSweepOptions struct {
-	// Path is the shared queue journal.
-	Path string
-	// Workers is the number of in-process workers; <= 0 means NumCPU.
-	Workers int
-	// Lease and Poll tune the workers (see SweepWorkerOptions).
-	Lease, Poll time.Duration
-	// Resume joins an existing queue journal instead of starting over:
-	// settled points are kept (transient failures re-opened), points
-	// claimed by dead workers are stolen once their leases expire.
-	Resume bool
-	// Run executes each claimed point; nil means local execution. See
-	// SweepWorkerOptions.Run.
-	Run PointRunner
-}
-
-// SweepDistributed runs a sweep through the work-queue protocol with
-// in-process workers: it creates (or resumes) the queue journal at
-// opts.Path, runs opts.Workers concurrent SweepWorker loops, and merges
-// the committed results. The merged results are byte-identical to
-// Sweep(cfg, rates) — the protocol guarantees exactly one committed
-// result per point and point runs are deterministic. Separate worker
-// processes (orion-sweep -worker) may join the same journal while this
-// runs; the merge does not care who committed each point.
-func SweepDistributed(ctx context.Context, cfg Config, rates []float64, opts DistributedSweepOptions) ([]*Result, error) {
-	if opts.Path == "" {
-		return nil, fmt.Errorf("orion: SweepDistributed requires a queue journal path")
-	}
-	if err := CreateSweepQueue(opts.Path, cfg, rates, opts.Resume); err != nil {
+// sweepJournal is SweepWith's journal path: it creates (or resumes) the
+// queue journal at opts.Journal, runs opts.Workers concurrent
+// SweepWorker loops, and merges the committed results. Separate worker
+// processes may join the same journal while this runs; the merge does
+// not care who committed each point.
+func sweepJournal(ctx context.Context, cfg Config, rates []float64, opts SweepOptions) ([]*Result, error) {
+	if err := CreateSweepQueue(opts.Journal, cfg, rates, opts.Resume); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(rates) && len(rates) > 0 {
-		workers = len(rates)
-	}
-	werrs := make([]error, workers)
+	werrs := make([]error, opts.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			_, werrs[w] = SweepWorker(ctx, cfg, rates, SweepWorkerOptions{
-				Path:     opts.Path,
+				Path:     opts.Journal,
 				Lease:    opts.Lease,
-				Poll:     opts.Poll,
 				WorkerID: fmt.Sprintf("%s/w%d", queue.NewWorkerID(), w),
 				Run:      opts.Run,
 			})
@@ -566,20 +478,10 @@ func SweepDistributed(ctx context.Context, cfg Config, rates []float64, opts Dis
 	}
 	wg.Wait()
 
-	hdr, err := sweepQueueHeader(cfg, rates)
-	if err != nil {
-		return nil, err
+	st, results, merr := loadQueue(cfg, rates, opts.Journal)
+	if st == nil {
+		return nil, merr
 	}
-	qf, err := queue.Open(opts.Path, hdr)
-	if err != nil {
-		return nil, wrapQueueErr(err)
-	}
-	defer qf.Close()
-	st, err := qf.Load()
-	if err != nil {
-		return nil, wrapQueueErr(err)
-	}
-	results, merr := mergeQueueState(st, rates)
 	if !st.Complete() {
 		// Every worker exited without finishing the queue — cancellation
 		// or worker failures. Surface them with the partial merge.
@@ -590,7 +492,7 @@ func SweepDistributed(ctx context.Context, cfg Config, rates []float64, opts Dis
 			}
 		}
 		joined = append(joined, merr)
-		return results, fmt.Errorf("orion: distributed sweep incomplete (%d/%d points settled): %w",
+		return results, fmt.Errorf("orion: sweep journal incomplete (%d/%d points settled): %w",
 			st.DoneCount(), len(rates), errors.Join(joined...))
 	}
 	return results, merr

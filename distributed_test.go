@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"orion/internal/queue"
 )
 
 // TestSweepDistributedMatchesSweep is the core distributed-correctness
@@ -26,8 +24,8 @@ func TestSweepDistributedMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.wal")
-	dist, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{
-		Path: path, Workers: 3, Lease: 2 * time.Second,
+	dist, err := SweepWith(context.Background(), cfg, rates, SweepOptions{
+		Journal: path, Workers: 3, Lease: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +206,7 @@ func TestDistributedTypedErrors(t *testing.T) {
 	}
 
 	// Direct lease loss through the queue layer, with orion's sentinel.
-	hdr, err := sweepQueueHeader(cfg, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qf, err := queue.Open(path, hdr)
+	qf, err := openQueue(cfg, rates, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +234,18 @@ func TestSweepDistributedRejectsMismatch(t *testing.T) {
 	rates := []float64{0.02, 0.06}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.wal")
-	opts := DistributedSweepOptions{Path: path, Workers: 1, Lease: time.Second}
-	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); err != nil {
+	opts := SweepOptions{Journal: path, Workers: 1, Lease: time.Second}
+	if _, err := SweepWith(context.Background(), cfg, rates, opts); err != nil {
 		t.Fatal(err)
 	}
 
 	opts.Resume = true
 	other := cfg
 	other.Traffic.Seed++
-	if _, err := SweepDistributed(context.Background(), other, rates, opts); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
+	if _, err := SweepWith(context.Background(), other, rates, opts); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
 		t.Fatalf("config mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
-	if _, err := SweepDistributed(context.Background(), cfg, []float64{0.02, 0.07}, opts); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
+	if _, err := SweepWith(context.Background(), cfg, []float64{0.02, 0.07}, opts); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
 		t.Fatalf("rate-list mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
 
@@ -268,8 +262,8 @@ func TestSweepDistributedRejectsMismatch(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts.Path = corrupt
-	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); !errors.Is(err, ErrJournal) {
+	opts.Journal = corrupt
+	if _, err := SweepWith(context.Background(), cfg, rates, opts); !errors.Is(err, ErrJournal) {
 		t.Fatalf("corrupt interior line: got %v, want ErrJournal", err)
 	}
 	if _, err := JournalStatus(corrupt); !errors.Is(err, ErrJournal) {
@@ -287,11 +281,7 @@ func TestJournalStatus(t *testing.T) {
 	if err := CreateSweepQueue(v2, cfg, rates, false); err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := sweepQueueHeader(cfg, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qf, err := queue.Open(v2, hdr)
+	qf, err := openQueue(cfg, rates, v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,51 +319,74 @@ func TestJournalStatus(t *testing.T) {
 	}
 }
 
-// TestSweepDistributedResumeReopensTransients: a queue whose committed
-// points include a transient failure (cancelled mid-run) must re-run
-// exactly those points on resume and settle them.
+// TestSweepDistributedResumeReopensTransients: resume re-opens and
+// re-runs the points committed as transient failures — a timeout, and
+// the "failed" catch-all of queue files written before the shared
+// failure vocabulary. A committed saturation is final: it is kept, and
+// its err_kind rebuilds an error typed under errors.Is.
 func TestSweepDistributedResumeReopensTransients(t *testing.T) {
 	cfg := fastConfig(0)
 	rates := []float64{0.02, 0.05}
-	path := filepath.Join(t.TempDir(), "sweep.wal")
-	if err := CreateSweepQueue(path, cfg, rates, false); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-commit a transient failure for point 0 and a real result for
-	// point 1.
-	hdr, err := sweepQueueHeader(cfg, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qf, err := queue.Open(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if won, _, err := qf.TryClaim(0, "w1", time.Minute); err != nil || !won {
-		t.Fatalf("claim: won=%v err=%v", won, err)
-	}
-	if err := qf.Commit(0, "w1", []byte(`{"index":0,"rate":0.02,"err":"point timeout","err_kind":"timeout"}`), false); err != nil {
-		t.Fatal(err)
-	}
-	qf.Close()
-
-	results, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{
-		Path: path, Workers: 2, Lease: time.Second, Resume: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	clean, err := Sweep(cfg, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rates {
-		if results[i] == nil {
-			t.Fatalf("rate %g: nil result after resume", rates[i])
-		}
-		if fingerprint(clean[i]) != fingerprint(results[i]) {
-			t.Errorf("rate %g: resumed result differs from sequential sweep", rates[i])
-		}
+	for _, tc := range []struct {
+		kind  string
+		final bool
+	}{
+		{"timeout", false},
+		{"failed", false},
+		{"saturated", true},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.wal")
+			if err := CreateSweepQueue(path, cfg, rates, false); err != nil {
+				t.Fatal(err)
+			}
+			// Hand-commit point 0 as a failure of this kind, with the
+			// finality a worker gives it; point 1 stays pending.
+			qf, err := openQueue(cfg, rates, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if won, _, err := qf.TryClaim(0, "w1", time.Minute); err != nil || !won {
+				t.Fatalf("claim: won=%v err=%v", won, err)
+			}
+			rec := fmt.Sprintf(`{"index":0,"rate":0.02,"err":"committed %s","err_kind":%q}`, tc.kind, tc.kind)
+			if err := qf.Commit(0, "w1", []byte(rec), tc.final); err != nil {
+				t.Fatal(err)
+			}
+			qf.Close()
+
+			var reran atomic.Bool
+			results, err := SweepWith(context.Background(), cfg, rates, SweepOptions{
+				Journal: path, Workers: 2, Lease: time.Second, Resume: true,
+				Run: func(ctx context.Context, cfg Config, rate float64) (*Result, error) {
+					if rate == rates[0] {
+						reran.Store(true)
+					}
+					return RunPoint(ctx, cfg, rate)
+				},
+			})
+			if results[1] == nil || fingerprint(clean[1]) != fingerprint(results[1]) {
+				t.Errorf("pending point: result differs from sequential sweep")
+			}
+			if !tc.final {
+				if err != nil || !reran.Load() {
+					t.Fatalf("transient %q point: re-ran %v, err %v; want re-run and settled", tc.kind, reran.Load(), err)
+				}
+				if results[0] == nil || fingerprint(clean[0]) != fingerprint(results[0]) {
+					t.Errorf("rate %g: resumed result differs from sequential sweep", rates[0])
+				}
+				return
+			}
+			var serr *SweepError
+			if reran.Load() || results[0] != nil || !errors.Is(err, ErrSaturated) ||
+				!errors.As(err, &serr) || fmt.Sprint(serr.Points) != "[0]" {
+				t.Fatalf("final %q point: re-ran %v, result %v, err %v; want kept, typed, at point 0", tc.kind, reran.Load(), results[0], err)
+			}
+		})
 	}
 }
 
@@ -392,8 +405,8 @@ func TestSweepDistributedResumeAfterCrash(t *testing.T) {
 	}
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
-	opts := DistributedSweepOptions{Path: full, Workers: 2, Lease: 100 * time.Millisecond}
-	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); err != nil {
+	opts := SweepOptions{Journal: full, Workers: 2, Lease: 100 * time.Millisecond}
+	if _, err := SweepWith(context.Background(), cfg, rates, opts); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(full)
@@ -431,7 +444,7 @@ func TestSweepDistributedResumeAfterCrash(t *testing.T) {
 	}
 
 	var reruns atomic.Int64
-	opts.Path, opts.Resume = crashed, true
+	opts.Journal, opts.Resume = crashed, true
 	opts.Run = func(ctx context.Context, cfg Config, rate float64) (*Result, error) {
 		for i, r := range rates {
 			if r == rate && kept[i] {
@@ -441,7 +454,7 @@ func TestSweepDistributedResumeAfterCrash(t *testing.T) {
 		reruns.Add(1)
 		return RunPoint(ctx, cfg, rate)
 	}
-	resumed, err := SweepDistributed(context.Background(), cfg, rates, opts)
+	resumed, err := SweepWith(context.Background(), cfg, rates, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +481,8 @@ func TestSweepDistributedResumeKeepsDeterministicFailures(t *testing.T) {
 	cfg.Sim.MaxCycles = 700
 	rates := []float64{0.2, 0.01}
 	path := filepath.Join(t.TempDir(), "sat.wal")
-	opts := DistributedSweepOptions{Path: path, Workers: 2, Lease: time.Second}
-	if _, err := SweepDistributed(context.Background(), cfg, rates, opts); !errors.Is(err, ErrSaturated) {
+	opts := SweepOptions{Journal: path, Workers: 2, Lease: time.Second}
+	if _, err := SweepWith(context.Background(), cfg, rates, opts); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturating sweep: got %v, want ErrSaturated", err)
 	}
 	st, err := JournalStatus(path)
@@ -489,7 +502,7 @@ func TestSweepDistributedResumeKeepsDeterministicFailures(t *testing.T) {
 		t.Error("resume re-ran a settled point")
 		return nil, errors.New("unexpected run")
 	}
-	results, err := SweepDistributed(context.Background(), cfg, rates, opts)
+	results, err := SweepWith(context.Background(), cfg, rates, opts)
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("resume lost the committed saturation: %v", err)
 	}
@@ -512,8 +525,8 @@ func TestSweepDistributedResumeKeepsDeterministicFailures(t *testing.T) {
 func TestSweepDistributedResumeMissingFileStartsFresh(t *testing.T) {
 	cfg := fastConfig(0)
 	path := filepath.Join(t.TempDir(), "fresh.wal")
-	results, err := SweepDistributed(context.Background(), cfg, []float64{0.04}, DistributedSweepOptions{
-		Path: path, Workers: 1, Lease: time.Second, Resume: true,
+	results, err := SweepWith(context.Background(), cfg, []float64{0.04}, SweepOptions{
+		Journal: path, Workers: 1, Lease: time.Second, Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -602,7 +615,7 @@ func TestSweepWorkerCancelDropsClaim(t *testing.T) {
 	}
 }
 
-// TestSweepDistributedCustomRunner: DistributedSweepOptions.Run replaces
+// TestSweepDistributedCustomRunner: SweepOptions.Run replaces
 // the in-process point executor for every worker — the seam the remote
 // dispatch layer plugs into — without changing what gets committed.
 func TestSweepDistributedCustomRunner(t *testing.T) {
@@ -614,8 +627,8 @@ func TestSweepDistributedCustomRunner(t *testing.T) {
 	}
 	var calls atomic.Int64
 	path := filepath.Join(t.TempDir(), "sweep.wal")
-	dist, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{
-		Path: path, Workers: 2, Lease: 2 * time.Second,
+	dist, err := SweepWith(context.Background(), cfg, rates, SweepOptions{
+		Journal: path, Workers: 2, Lease: 2 * time.Second,
 		Run: func(ctx context.Context, cfg Config, rate float64) (*Result, error) {
 			calls.Add(1)
 			return RunPoint(ctx, cfg, rate)
@@ -672,8 +685,8 @@ func TestSweepWorkerCountsBackendDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{
-		Path: path, Workers: 2, Lease: time.Second, Resume: true,
+	results, err := SweepWith(context.Background(), cfg, rates, SweepOptions{
+		Journal: path, Workers: 2, Lease: time.Second, Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)

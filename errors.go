@@ -1,6 +1,7 @@
 package orion
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -138,14 +139,93 @@ func (e *DivergenceError) Unwrap() error { return ErrDiverged }
 //	}
 type InvariantError = core.InvariantError
 
-// SweepError aggregates the failures of a Sweep or SweepContext: Rates
-// lists the failing injection rates (in sweep order) and Errs the
-// corresponding errors. It unwraps to every underlying error, so
-// errors.Is(err, ErrSaturated) reports whether any point saturated.
+// Failure codes label a failed run or sweep point. The sweep journal
+// stores them (err_kind) and the serving protocol sends them (code,
+// point_codes), so the strings must not change.
+const (
+	CodeInvariant   = "invariant"    // ErrInvariant
+	CodeSaturated   = "saturated"    // ErrSaturated
+	CodeDeadlock    = "deadlock"     // ErrDeadlock
+	CodeOverloaded  = "overloaded"   // ErrOverloaded: shed by admission control
+	CodeBackendDown = "backend_down" // ErrBackendDown: every remote backend down
+	CodeTimeout     = "timeout"      // context.DeadlineExceeded
+	CodeCancelled   = "cancelled"    // context.Canceled
+	CodeInternal    = "internal"     // anything else
+)
+
+// failureCodes pairs each code with its sentinel in FailureCode's match
+// order: ErrInvariant first (an invariant failure may also look
+// saturated), the context kinds after the simulator's own sentinels.
+var failureCodes = []struct {
+	code     string
+	sentinel error
+}{
+	{CodeInvariant, ErrInvariant},
+	{CodeSaturated, ErrSaturated},
+	{CodeDeadlock, ErrDeadlock},
+	{CodeOverloaded, ErrOverloaded},
+	{CodeBackendDown, ErrBackendDown},
+	{CodeTimeout, context.DeadlineExceeded},
+	{CodeCancelled, context.Canceled},
+}
+
+// FailureCode labels err with the code of the first sentinel it wraps,
+// or CodeInternal when it wraps none.
+func FailureCode(err error) string {
+	for _, f := range failureCodes {
+		if errors.Is(err, f.sentinel) {
+			return f.code
+		}
+	}
+	return CodeInternal
+}
+
+// DeterministicCode reports whether a failure with this code would
+// reproduce exactly on a re-run, so it is final: a resumed sweep keeps
+// it and the serving layer caches it. Any other code is transient.
+func DeterministicCode(code string) bool {
+	switch code {
+	case CodeSaturated, CodeDeadlock, CodeInvariant:
+		return true
+	}
+	return false
+}
+
+// FailureError rebuilds a recorded failure (a journaled sweep point, a
+// remote backend's reply) as an error with text msg that wraps the
+// code's sentinel, plus ErrFaulted when faulted is set.
+func FailureError(code string, faulted bool, msg string) error {
+	e := &failureError{msg: msg}
+	for _, f := range failureCodes {
+		if f.code == code {
+			e.errs = append(e.errs, f.sentinel)
+		}
+	}
+	if faulted {
+		e.errs = append(e.errs, ErrFaulted)
+	}
+	return e
+}
+
+type failureError struct {
+	msg  string
+	errs []error
+}
+
+func (e *failureError) Error() string   { return e.msg }
+func (e *failureError) Unwrap() []error { return e.errs }
+
+// SweepError aggregates the failures of a sweep: Points lists the
+// failing rate indices (in sweep order), Rates the matching injection
+// rates and Errs the corresponding errors. It unwraps to every
+// underlying error, so errors.Is(err, ErrSaturated) reports whether any
+// point saturated.
 type SweepError struct {
-	// Rates are the injection rates whose runs failed.
+	// Points are the indices into the swept rate list whose runs failed.
+	Points []int
+	// Rates are the injection rates whose runs failed, parallel to Points.
 	Rates []float64
-	// Errs are the per-point errors, parallel to Rates.
+	// Errs are the per-point errors, parallel to Points.
 	Errs []error
 }
 

@@ -66,14 +66,14 @@ func mustJSON(t *testing.T, v any) []byte {
 func remoteSweep(t *testing.T, pool *Pool) ([]*orion.Result, *queue.State) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	results, err := orion.SweepDistributed(context.Background(), chaosConfig(), chaosRates, orion.DistributedSweepOptions{
-		Path:    path,
+	results, err := orion.SweepWith(context.Background(), chaosConfig(), chaosRates, orion.SweepOptions{
+		Journal: path,
 		Workers: 2,
 		Lease:   5 * time.Second,
 		Run:     pool.RunPoint,
 	})
 	if err != nil {
-		t.Fatalf("SweepDistributed: %v", err)
+		t.Fatalf("SweepWith: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -290,7 +290,7 @@ func TestNoLocalFallbackSurfacesBackendDown(t *testing.T) {
 func TestRemoteDeterministicOutcomeIsTyped(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(&serve.Response{OK: false, Code: serve.CodeSaturated, Error: "saturated (remote)"})
+		json.NewEncoder(w).Encode(&serve.Response{OK: false, Code: orion.CodeSaturated, Error: "saturated (remote)"})
 	}))
 	defer backend.Close()
 

@@ -39,9 +39,9 @@ const (
 )
 
 // RunPoint dispatches one sweep point to the backend pool. It is an
-// orion.PointRunner: plug it into SweepWorkerOptions.Run /
-// DistributedSweepOptions.Run / serve.Options.RunPoint and the existing
-// claim/heartbeat/commit machinery executes points remotely.
+// orion.PointRunner: plug it into orion.SweepOptions.Run /
+// SweepWorkerOptions.Run / serve.Options.RunPoint and the sweep executes
+// its points remotely.
 func (p *Pool) RunPoint(ctx context.Context, cfg orion.Config, rate float64) (*orion.Result, error) {
 	// Fold the point's rate into the config: the backend sees a complete
 	// single-run request, and its digest-keyed cache gets a stable
@@ -74,14 +74,11 @@ func (p *Pool) RunPoint(ctx context.Context, cfg orion.Config, rate float64) (*o
 		}
 		res, retryAfter, v, derr := p.dispatch(ctx, b, body)
 		switch v {
-		case verdictOK:
+		case verdictOK, verdictTerminal:
+			// The backend answered: a result, or a deterministic failure.
 			b.breaker.succeed()
 			p.count(func(s *Stats) { s.Attempts++; s.Remote++ })
-			return res, nil
-		case verdictTerminal:
-			b.breaker.succeed()
-			p.count(func(s *Stats) { s.Attempts++; s.Remote++ })
-			return nil, derr
+			return res, derr
 		case verdictBusy:
 			// The backend answered — it is alive, just shedding. Not a
 			// breaker failure, but the attempt is spent.
@@ -194,35 +191,16 @@ func (p *Pool) dispatch(ctx context.Context, b *backend, body []byte) (*orion.Re
 		}
 		return resp.Result, 0, verdictOK, nil
 	}
-	switch resp.Code {
-	case serve.CodeSaturated, serve.CodeDeadlock, serve.CodeInvariant:
-		return nil, 0, verdictTerminal, terminalErr(resp.Code, resp.Faulted, resp.Error)
-	default:
-		// timeout, cancelled, draining, bad_request, internal, or a code
-		// from a future backend version: the simulation has no
-		// deterministic answer yet — retry elsewhere or fall back.
-		return nil, 0, verdictFail, fmt.Errorf("remote: %s: backend failed with code %q: %s", b.url, resp.Code, resp.Error)
+	if orion.DeterministicCode(resp.Code) {
+		// Rebuild the typed sentinel, so errors.Is behaves — and the
+		// queue journal classifies — exactly as if the point ran locally.
+		return nil, 0, verdictTerminal, fmt.Errorf("remote: backend reports: %w",
+			orion.FailureError(resp.Code, resp.Faulted, resp.Error))
 	}
-}
-
-// terminalErr reconstructs a deterministic simulation failure reported
-// by a backend as the matching typed sentinel, so errors.Is behaves —
-// and the queue journal classifies — exactly as if the point had run
-// locally.
-func terminalErr(code string, faulted bool, msg string) error {
-	var base error
-	switch code {
-	case serve.CodeSaturated:
-		base = orion.ErrSaturated
-	case serve.CodeDeadlock:
-		base = orion.ErrDeadlock
-	default:
-		base = orion.ErrInvariant
-	}
-	if faulted {
-		return fmt.Errorf("remote: backend reports: %w: %w: %s", base, orion.ErrFaulted, msg)
-	}
-	return fmt.Errorf("remote: backend reports: %w: %s", base, msg)
+	// timeout, cancelled, draining, bad_request, internal, or a code from
+	// a future backend version: the simulation has no deterministic
+	// answer yet — retry elsewhere or fall back.
+	return nil, 0, verdictFail, fmt.Errorf("remote: %s: backend failed with code %q: %s", b.url, resp.Code, resp.Error)
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form; 0

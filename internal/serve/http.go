@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"orion"
 )
 
 // The HTTP front-end. It speaks the same Request/Response protocol as
@@ -19,7 +21,7 @@ import (
 //
 // Transport- and admission-level failures map to HTTP statuses
 // (bad_request 400, not_found 404, overloaded 429 + Retry-After,
-// draining 503, internal 500); simulation outcomes — saturated,
+// draining and backend_down 503, internal 500); simulation outcomes — saturated,
 // deadlock, invariant, timeout, cancelled — are 200 with ok:false and
 // the code in the body, because the service answered the question that
 // was asked.
@@ -103,12 +105,12 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp *Response) {
 		status = http.StatusBadRequest
 	case CodeNotFound:
 		status = http.StatusNotFound
-	case CodeOverloaded:
+	case orion.CodeOverloaded:
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint()))
-	case CodeDraining:
+	case CodeDraining, orion.CodeBackendDown:
 		status = http.StatusServiceUnavailable
-	case CodeInternal:
+	case orion.CodeInternal:
 		status = http.StatusInternalServerError
 	}
 	if resp.Code == "" && resp.JobID != "" && resp.Status == JobQueued {

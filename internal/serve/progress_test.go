@@ -101,7 +101,7 @@ func TestRetryAfterScalesWithPoolPressure(t *testing.T) {
 
 	// The scaled hint is what the HTTP surface sends.
 	rec := httptest.NewRecorder()
-	s.writeResponse(rec, failResp("", CodeOverloaded, "shed"))
+	s.writeResponse(rec, failResp("", orion.CodeOverloaded, "shed"))
 	if got := rec.Header().Get("Retry-After"); got != "4" {
 		t.Fatalf("Retry-After header = %q, want \"4\"", got)
 	}

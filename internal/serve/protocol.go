@@ -41,21 +41,14 @@ const (
 )
 
 // Stable machine-readable response codes. A response with OK true has no
-// code; every failure carries exactly one. The simulation-outcome codes
-// (saturated, deadlock, invariant, timeout, cancelled) mirror the
-// package orion sentinel taxonomy; the service codes (bad_request,
-// overloaded, draining, not_found, internal) are the serving layer's own.
+// code; every failure carries exactly one. Failures of a run or sweep
+// carry an orion failure code (orion.FailureCode: invariant, saturated,
+// deadlock, overloaded, backend_down, timeout, cancelled, internal); the
+// codes below are the serving layer's own.
 const (
 	CodeBadRequest = "bad_request" // malformed request or invalid config
-	CodeOverloaded = "overloaded"  // shed by admission control; retry later
 	CodeDraining   = "draining"    // server is shutting down; not admitting
 	CodeNotFound   = "not_found"   // unknown job id
-	CodeSaturated  = "saturated"   // orion.ErrSaturated
-	CodeDeadlock   = "deadlock"    // orion.ErrDeadlock
-	CodeInvariant  = "invariant"   // orion.ErrInvariant
-	CodeTimeout    = "timeout"     // the request deadline expired mid-run
-	CodeCancelled  = "cancelled"   // the request or server was cancelled
-	CodeInternal   = "internal"    // unexpected failure
 )
 
 // Protocol bounds. A request line (or HTTP body) larger than
@@ -109,7 +102,8 @@ type Response struct {
 	// Cached marks a result served from the persistent result cache
 	// without re-running the simulation.
 	Cached bool `json:"cached,omitempty"`
-	// Code is the stable machine-readable failure code (Code* above).
+	// Code is the stable machine-readable failure code: Code* above or
+	// an orion failure code (orion.FailureCode).
 	Code string `json:"code,omitempty"`
 	// Error is the human-readable failure detail.
 	Error string `json:"error,omitempty"`

@@ -183,8 +183,8 @@ func TestHandleShedsBeyondAdmissionBound(t *testing.T) {
 	// The lone worker is busy and there is no waiting room: a different
 	// request must be shed immediately with the typed overload code.
 	resp := s.Handle(context.Background(), runReq(t, testConfigJSON(t, 6)))
-	if resp.OK || resp.Code != CodeOverloaded {
-		t.Fatalf("second request = %+v, want code %q", resp, CodeOverloaded)
+	if resp.OK || resp.Code != orion.CodeOverloaded {
+		t.Fatalf("second request = %+v, want code %q", resp, orion.CodeOverloaded)
 	}
 	if !strings.Contains(resp.Error, "overloaded") {
 		t.Fatalf("overload error %q does not mention overload", resp.Error)
@@ -207,8 +207,8 @@ func TestHandleDeadlineProducesTimeoutCode(t *testing.T) {
 	req := runReq(t, cfg)
 	req.DeadlineMs = 30
 	resp := s.Handle(context.Background(), req)
-	if resp.OK || resp.Code != CodeTimeout {
-		t.Fatalf("deadline response = %+v, want code %q", resp, CodeTimeout)
+	if resp.OK || resp.Code != orion.CodeTimeout {
+		t.Fatalf("deadline response = %+v, want code %q", resp, orion.CodeTimeout)
 	}
 
 	// Transient outcomes must not be memoized: the next identical
@@ -230,33 +230,39 @@ func TestHandleMaxDeadlineCapsRequests(t *testing.T) {
 	req := runReq(t, testConfigJSON(t, 8))
 	req.DeadlineMs = int64(time.Hour / time.Millisecond)
 	resp := s.Handle(context.Background(), req)
-	if resp.Code != CodeTimeout {
-		t.Fatalf("capped response = %+v, want code %q", resp, CodeTimeout)
+	if resp.Code != orion.CodeTimeout {
+		t.Fatalf("capped response = %+v, want code %q", resp, orion.CodeTimeout)
 	}
 }
 
 func TestHandleClassifiesSentinels(t *testing.T) {
 	cases := []struct {
-		name     string
-		err      error
-		wantCode string
-		faulted  bool
+		name      string
+		err       error
+		wantCode  string
+		faulted   bool
+		cacheable bool
 	}{
-		{"saturated", fmt.Errorf("wrap: %w", orion.ErrSaturated), CodeSaturated, false},
-		{"deadlock", fmt.Errorf("wrap: %w", orion.ErrDeadlock), CodeDeadlock, false},
-		{"invariant", fmt.Errorf("wrap: %w", orion.ErrInvariant), CodeInvariant, false},
-		{"faulted deadlock", fmt.Errorf("wrap: %w: %w", orion.ErrFaulted, orion.ErrDeadlock), CodeDeadlock, true},
-		{"cancelled", context.Canceled, CodeCancelled, false},
-		{"unknown", fmt.Errorf("disk on fire"), CodeInternal, false},
+		{"saturated", fmt.Errorf("wrap: %w", orion.ErrSaturated), orion.CodeSaturated, false, true},
+		{"deadlock", fmt.Errorf("wrap: %w", orion.ErrDeadlock), orion.CodeDeadlock, false, true},
+		{"invariant", fmt.Errorf("wrap: %w", orion.ErrInvariant), orion.CodeInvariant, false, true},
+		{"faulted deadlock", fmt.Errorf("wrap: %w: %w", orion.ErrFaulted, orion.ErrDeadlock), orion.CodeDeadlock, true, true},
+		{"cancelled", context.Canceled, orion.CodeCancelled, false, false},
+		{"backend down", fmt.Errorf("wrap: %w: %w", orion.ErrRemote, orion.ErrBackendDown), orion.CodeBackendDown, false, false},
+		{"unknown", fmt.Errorf("disk on fire"), orion.CodeInternal, false, false},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, _ := newTestServer(t, Options{}, func(ctx context.Context, cfg orion.Config) (*orion.Result, error) {
 				return nil, tc.err
 			})
-			resp := s.Handle(context.Background(), runReq(t, testConfigJSON(t, int64(100+i))))
+			req := runReq(t, testConfigJSON(t, int64(100+i)))
+			resp := s.Handle(context.Background(), req)
 			if resp.OK || resp.Code != tc.wantCode || resp.Faulted != tc.faulted {
 				t.Fatalf("response = %+v, want code %q faulted %v", resp, tc.wantCode, tc.faulted)
+			}
+			if again := s.Handle(context.Background(), req); again.Cached != tc.cacheable {
+				t.Fatalf("repeated %q response cached = %v, want %v", tc.wantCode, again.Cached, tc.cacheable)
 			}
 		})
 	}
@@ -269,8 +275,8 @@ func TestHandleDeterministicFailuresAreCached(t *testing.T) {
 	cfg := testConfigJSON(t, 9)
 	first := s.Handle(context.Background(), runReq(t, cfg))
 	second := s.Handle(context.Background(), runReq(t, cfg))
-	if first.Code != CodeSaturated || second.Code != CodeSaturated {
-		t.Fatalf("codes %q / %q, want %q", first.Code, second.Code, CodeSaturated)
+	if first.Code != orion.CodeSaturated || second.Code != orion.CodeSaturated {
+		t.Fatalf("codes %q / %q, want %q", first.Code, second.Code, orion.CodeSaturated)
 	}
 	if !second.Cached {
 		t.Fatalf("second saturated response = %+v, want cached", second)
@@ -288,24 +294,39 @@ func TestHandleBadConfigIsBadRequest(t *testing.T) {
 	}
 }
 
+// TestHandleSweepPointCodes runs a real sweep through the server: its
+// point_codes must sit at the failing indices orion.SweepError.Points
+// names. The tight MaxCycles starves the low-rate middle and last points
+// of their samples (saturated) while the high-rate points finish; the
+// repeated rates check that indices, not rate values, carry the codes.
 func TestHandleSweepPointCodes(t *testing.T) {
+	cfg := orion.Config{
+		Width: 4, Height: 4,
+		Router:  orion.RouterConfig{Kind: orion.VirtualChannel, VCs: 2, BufferDepth: 8, FlitBits: 64},
+		Link:    orion.LinkConfig{LengthMm: 3},
+		Traffic: orion.TrafficConfig{Pattern: orion.Uniform(), PacketLength: 5, Seed: 5},
+		Sim:     orion.SimConfig{WarmupCycles: 200, SamplePackets: 300, MaxCycles: 700},
+	}
+	cfgJSON, err := orion.ConfigJSON(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, cfgJSON); err != nil {
+		t.Fatal(err)
+	}
 	s, _ := newTestServer(t, Options{}, nil)
-	s.sweepSim = func(ctx context.Context, cfg orion.Config, rates []float64, progress orion.SweepProgress) ([]*orion.Result, error) {
-		// Middle point saturates; the others finish.
-		return []*orion.Result{{AvgLatency: 1}, nil, {AvgLatency: 2}},
-			&orion.SweepError{Rates: []float64{rates[1]}, Errs: []error{orion.ErrSaturated}}
-	}
-	req := &Request{Op: OpSweep, Config: testConfigJSON(t, 10), Rates: []float64{0.02, 0.5, 0.04}}
+	req := &Request{Op: OpSweep, Config: compact.Bytes(), Rates: []float64{0.2, 0.01, 0.2, 0.01}}
 	resp := s.Handle(context.Background(), req)
-	if resp.OK {
-		t.Fatalf("partial sweep reported ok: %+v", resp)
+	if resp.OK || resp.Code != orion.CodeSaturated {
+		t.Fatalf("partial sweep = %+v, want code %q", resp, orion.CodeSaturated)
 	}
-	if len(resp.Results) != 3 || resp.Results[1] != nil {
-		t.Fatalf("results = %+v, want 3 with a nil middle", resp.Results)
+	if len(resp.Results) != 4 || resp.Results[0] == nil || resp.Results[1] != nil || resp.Results[2] == nil || resp.Results[3] != nil {
+		t.Fatalf("results = %+v, want nil exactly at points 1 and 3", resp.Results)
 	}
-	want := []string{"", CodeSaturated, ""}
-	if len(resp.PointCodes) != 3 || resp.PointCodes[0] != want[0] || resp.PointCodes[1] != want[1] || resp.PointCodes[2] != want[2] {
-		t.Fatalf("point codes = %v, want %v", resp.PointCodes, want)
+	want := []string{"", orion.CodeSaturated, "", orion.CodeSaturated}
+	if fmt.Sprint(resp.PointCodes) != fmt.Sprint(want) {
+		t.Fatalf("point codes = %q, want %q", resp.PointCodes, want)
 	}
 	// All-deterministic partial failures are cacheable.
 	second := s.Handle(context.Background(), req)
@@ -392,8 +413,8 @@ func TestDrainDeadlineCancelsStuckWork(t *testing.T) {
 	if took := time.Since(start); took > 3*time.Second {
 		t.Fatalf("drain of stuck work took %v", took)
 	}
-	if resp := <-inflight; resp.Code != CodeCancelled {
-		t.Fatalf("stuck request response = %+v, want code %q", resp, CodeCancelled)
+	if resp := <-inflight; resp.Code != orion.CodeCancelled {
+		t.Fatalf("stuck request response = %+v, want code %q", resp, orion.CodeCancelled)
 	}
 }
 
@@ -407,7 +428,7 @@ func TestHandleCallerDeadlineDetachesFromExecution(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	resp := s.Handle(ctx, runReq(t, cfg))
-	if resp.Code != CodeTimeout && resp.Code != CodeCancelled {
+	if resp.Code != orion.CodeTimeout && resp.Code != orion.CodeCancelled {
 		t.Fatalf("impatient caller response = %+v, want timeout/cancelled", resp)
 	}
 	// The execution keeps running and still lands in the cache.

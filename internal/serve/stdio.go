@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"orion"
 )
 
 // The stdio front-end: JSON lines in, JSON lines out. Each input line
@@ -27,7 +29,7 @@ func (s *Server) ServeLines(ctx context.Context, r io.Reader, w io.Writer) error
 	emit := func(resp *Response) {
 		data, err := json.Marshal(resp)
 		if err != nil {
-			data, _ = json.Marshal(failResp(resp.ID, CodeInternal, "serve: encoding response"))
+			data, _ = json.Marshal(failResp(resp.ID, orion.CodeInternal, "serve: encoding response"))
 		}
 		wmu.Lock()
 		out.Write(data)

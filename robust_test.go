@@ -3,6 +3,8 @@ package orion
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -389,5 +391,74 @@ func TestInvariantModeResolution(t *testing.T) {
 	t.Setenv("ORION_INVARIANTS", "1")
 	if !InvariantAuto.enabled() {
 		t.Error("ORION_INVARIANTS=1 should enable")
+	}
+}
+
+// TestSweepErrorPoints: SweepError.Points names the failing rate
+// indices, parallel to Rates and Errs, on both SweepWith paths. The
+// tight MaxCycles starves the low-rate points of their samples (a
+// deterministic ErrSaturated at the middle and last index) while the
+// high-rate points finish; the repeated rate checks that indices, not
+// rate values, carry the alignment.
+func TestSweepErrorPoints(t *testing.T) {
+	cfg := fastConfig(0)
+	cfg.Sim.MaxCycles = 700
+	rates := []float64{0.2, 0.01, 0.2, 0.01}
+	for _, tc := range []struct {
+		name string
+		opts SweepOptions
+	}{
+		{"in-memory", SweepOptions{}},
+		{"journal", SweepOptions{Journal: filepath.Join(t.TempDir(), "sweep.wal"), Workers: 2, Lease: time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results, err := SweepWith(context.Background(), cfg, rates, tc.opts)
+			var serr *SweepError
+			if !errors.As(err, &serr) {
+				t.Fatalf("sweep error %v is not a *SweepError", err)
+			}
+			if fmt.Sprint(serr.Points) != "[1 3]" || len(serr.Rates) != 2 || len(serr.Errs) != 2 {
+				t.Fatalf("SweepError points %v rates %v errs %d, want points [1 3]", serr.Points, serr.Rates, len(serr.Errs))
+			}
+			for j, i := range serr.Points {
+				if results[i] != nil || serr.Rates[j] != rates[i] || !errors.Is(serr.Errs[j], ErrSaturated) {
+					t.Errorf("failure %d at point %d: result %v, rate %g, err %v", j, i, results[i], serr.Rates[j], serr.Errs[j])
+				}
+			}
+			if results[0] == nil || results[2] == nil {
+				t.Errorf("healthy points lost their results: %v", results)
+			}
+		})
+	}
+}
+
+// TestFailureCodeRoundTrip: every failure code survives a trip through
+// its recorded form (code, fault flag, message), as a journal read or a
+// remote backend reply rebuilds it, and only the simulator's own
+// outcomes are final.
+func TestFailureCodeRoundTrip(t *testing.T) {
+	deterministic := map[string]bool{CodeSaturated: true, CodeDeadlock: true, CodeInvariant: true}
+	for _, code := range []string{CodeInvariant, CodeSaturated, CodeDeadlock, CodeOverloaded,
+		CodeBackendDown, CodeTimeout, CodeCancelled, CodeInternal} {
+		for _, faulted := range []bool{false, true} {
+			err := FailureError(code, faulted, "recorded message")
+			if got := FailureCode(err); got != code {
+				t.Errorf("FailureCode(FailureError(%q, %v)) = %q", code, faulted, got)
+			}
+			if errors.Is(err, ErrFaulted) != faulted {
+				t.Errorf("FailureError(%q, %v): errors.Is(ErrFaulted) = %v", code, faulted, !faulted)
+			}
+			if err.Error() != "recorded message" {
+				t.Errorf("FailureError(%q) message = %q", code, err.Error())
+			}
+		}
+		if DeterministicCode(code) != deterministic[code] {
+			t.Errorf("DeterministicCode(%q) = %v", code, !deterministic[code])
+		}
+	}
+	// The journal's catch-all before the shared vocabulary was "failed":
+	// it reads back as internal and transient.
+	if got := FailureCode(FailureError("failed", false, "x")); got != CodeInternal || DeterministicCode("failed") {
+		t.Errorf(`legacy "failed" reads back as %q (deterministic %v), want internal and transient`, got, DeterministicCode("failed"))
 	}
 }

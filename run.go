@@ -485,7 +485,7 @@ func ZeroLoadLatency(cfg Config) (float64, error) {
 // with a *SweepError aggregating the typed per-point errors, so one
 // saturating point never discards the rest of the curve.
 func Sweep(cfg Config, rates []float64) ([]*Result, error) {
-	return SweepContext(context.Background(), cfg, rates)
+	return SweepWith(context.Background(), cfg, rates, SweepOptions{})
 }
 
 // SweepContext is Sweep with cancellation and per-point deadlines.
@@ -495,7 +495,7 @@ func Sweep(cfg Config, rates []float64) ([]*Result, error) {
 // panic as that point's error instead of tearing down the process, so a
 // sweep always returns its partial results.
 func SweepContext(ctx context.Context, cfg Config, rates []float64) ([]*Result, error) {
-	return SweepWithRunner(ctx, cfg, rates, nil, nil)
+	return SweepWith(ctx, cfg, rates, SweepOptions{})
 }
 
 // PointRunner executes one sweep point: the configuration at one
@@ -511,34 +511,64 @@ type PointRunner func(ctx context.Context, cfg Config, rate float64) (*Result, e
 // concurrency-safe.
 type SweepProgress func(done, total int)
 
-// SweepWithRunner is SweepContext with a pluggable per-point executor
-// and a progress feed. Each rate is handed to run on a bounded worker
-// pool (nil means RunPoint, the in-process default); progress, when
-// non-nil, is invoked after every settled point. The serving layer uses
-// the runner seam to dispatch points to remote backends and the
-// progress seam to report points_done on async job polls.
+// SweepWithRunner is SweepWith with only Run and Progress set.
+//
+// Deprecated: use SweepWith.
 func SweepWithRunner(ctx context.Context, cfg Config, rates []float64, run PointRunner, progress SweepProgress) ([]*Result, error) {
-	if run == nil {
-		run = RunPoint
+	return SweepWith(ctx, cfg, rates, SweepOptions{Run: run, Progress: progress})
+}
+
+// SweepOptions configures SweepWith; the zero value runs Sweep.
+type SweepOptions struct {
+	// Run executes each point; nil means RunPoint.
+	Run PointRunner
+	// Progress is called after every settled point of an in-memory
+	// sweep; it is ignored when Journal is set.
+	Progress SweepProgress
+	// Workers is the number of points in flight; <= 0 means NumCPU.
+	Workers int
+	// Journal is the work-queue journal path that makes the sweep
+	// crash-safe and resumable; "" runs it in memory.
+	Journal string
+	// Resume joins an existing Journal instead of starting over,
+	// keeping its settled points (see CreateSweepQueue).
+	Resume bool
+	// Lease is the journal workers' claim lease (SweepWorkerOptions.Lease).
+	Lease time.Duration
+}
+
+// SweepWith is the one sweep executor. It runs cfg at each rate and
+// returns the results in rate order, plus a *SweepError for any failed
+// points. Without opts.Journal the points run from an in-memory pool;
+// with it, opts.Workers SweepWorker loops run them through the queue
+// journal and the committed results are merged in index order. Either
+// way the results are byte-identical, because point runs are
+// deterministic and the journal commits exactly one result per point.
+func SweepWith(ctx context.Context, cfg Config, rates []float64, opts SweepOptions) ([]*Result, error) {
+	if opts.Run == nil {
+		opts.Run = RunPoint
 	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.NumCPU()
+	}
+	opts.Workers = min(opts.Workers, len(rates))
+	if opts.Journal != "" {
+		return sweepJournal(ctx, cfg, rates, opts)
+	}
+
 	results := make([]*Result, len(rates))
 	errs := make([]error, len(rates))
-
-	workers := runtime.NumCPU()
-	if workers > len(rates) {
-		workers = len(rates)
-	}
 	var done atomic.Int64
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = run(ctx, cfg, rates[i])
-				if progress != nil {
-					progress(int(done.Add(1)), len(rates))
+				results[i], errs[i] = opts.Run(ctx, cfg, rates[i])
+				if opts.Progress != nil {
+					opts.Progress(int(done.Add(1)), len(rates))
 				}
 			}
 		}()
@@ -556,9 +586,8 @@ func SweepWithRunner(ctx context.Context, cfg Config, rates []float64, run Point
 }
 
 // collectSweepError aggregates per-point failures into a *SweepError in
-// rate order, or nil when every point succeeded. Shared by the
-// in-memory and queue-backed sweep paths so both report failures
-// identically.
+// rate order, or nil when every point succeeded. Both SweepWith paths
+// report failures through it.
 func collectSweepError(rates []float64, errs []error) *SweepError {
 	var serr *SweepError
 	for i, err := range errs {
@@ -566,6 +595,7 @@ func collectSweepError(rates []float64, errs []error) *SweepError {
 			if serr == nil {
 				serr = &SweepError{}
 			}
+			serr.Points = append(serr.Points, i)
 			serr.Rates = append(serr.Rates, rates[i])
 			serr.Errs = append(serr.Errs, err)
 		}

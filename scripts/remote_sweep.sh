@@ -8,9 +8,10 @@
 # breaker must absorb the dead backend — re-dispatching its points to
 # the survivor (or degrading to local execution) — and the merged CSV
 # must be byte-identical to the clean run, with every point settled
-# exactly once in the work-queue journal. This is the CI gate for the
-# remote-dispatch guarantee: a vanished backend costs retries, never
-# results.
+# exactly once in the work-queue journal. A second remote sweep, with
+# no -journal and no kill, checks the in-memory dispatch path against the
+# same clean CSV. This is the CI gate for the remote-dispatch guarantee:
+# a vanished backend costs retries, never results.
 #
 # Usage: scripts/remote_sweep.sh
 set -euo pipefail
@@ -107,3 +108,17 @@ if ! diff "$WORK/clean.csv" "$WORK/remote.csv"; then
     exit 1
 fi
 echo "PASS: remote sweep with a SIGKILLed backend is byte-identical to the clean run"
+
+echo "== in-memory remote sweep: no -journal, surviving backend"
+"$WORK/orion-sweep" "${ARGS[@]}" -backends "http://$ADDR2" \
+    -csv "$WORK/memory.csv" > "$WORK/memory.out" 2>&1
+cat "$WORK/memory.out"
+if ! grep -q 'orion-sweep: backends:' "$WORK/memory.out"; then
+    echo "FAIL: in-memory remote sweep did not report backend pool stats" >&2
+    exit 1
+fi
+if ! diff "$WORK/clean.csv" "$WORK/memory.csv"; then
+    echo "FAIL: in-memory remote CSV differs from the single-process run" >&2
+    exit 1
+fi
+echo "PASS: in-memory remote sweep is byte-identical to the clean run"
