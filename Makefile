@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-workers fuzz-smoke bench-smoke bench bench-compare checkpoint-resume distributed-sweep remote-sweep serve-smoke sweep-gates ci
+.PHONY: build vet test race race-workers fuzz-smoke bench-smoke bench bench-compare checkpoint-resume distributed-sweep remote-sweep serve-smoke sweep-gates cli-smoke ci
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,12 @@ remote-sweep:
 serve-smoke:
 	scripts/serve_smoke.sh
 
+# Command-line smoke: enum flags accept the config-file names and
+# aliases, -dump-config round-trips through -config, a bad enum value
+# exits 2, and a random port-stall fault is rejected.
+cli-smoke:
+	scripts/cli_smoke.sh
+
 # Every end-to-end sweep and serve gate, one after another.
 sweep-gates: checkpoint-resume distributed-sweep remote-sweep serve-smoke
 
@@ -75,4 +81,4 @@ bench:
 bench-compare:
 	scripts/bench_compare.sh
 
-ci: build vet race race-workers bench-smoke fuzz-smoke
+ci: build vet race race-workers bench-smoke fuzz-smoke cli-smoke

@@ -26,61 +26,53 @@ import (
 )
 
 var (
-	routerKind = flag.String("router", "wormhole", "router kind: vc, wormhole, cb")
-	vcs        = flag.Int("vcs", 2, "virtual channels per port (vc router)")
-	depth      = flag.Int("depth", 4, "buffer depth in flits")
-	flits      = flag.Int("flits", 32, "flit width in bits")
-	cbBanks    = flag.Int("cb-banks", 4, "central buffer banks")
-	cbRows     = flag.Int("cb-rows", 2560, "central buffer rows per bank")
-	chip2chip  = flag.Bool("chip2chip", false, "chip-to-chip links (constant power)")
-	linkMm     = flag.Float64("link-mm", 3, "on-chip link length in mm")
-	linkWatts  = flag.Float64("link-watts", 3, "chip-to-chip link power in W")
-	freqGHz    = flag.Float64("freq", 2, "clock frequency in GHz")
-	vdd        = flag.Float64("vdd", 0, "supply voltage override in V")
-	feature    = flag.Float64("feature", 0, "feature size in µm (0 = 0.1)")
-	muxtree    = flag.Bool("muxtree", false, "model a multiplexer-tree crossbar")
-	arb        = flag.String("arbiter", "matrix", "arbiter model: matrix, roundrobin, queuing")
+	vcs       = flag.Int("vcs", 2, "virtual channels per port (vc router)")
+	depth     = flag.Int("depth", 4, "buffer depth in flits")
+	flits     = flag.Int("flits", 32, "flit width in bits")
+	cbBanks   = flag.Int("cb-banks", 4, "central buffer banks")
+	cbRows    = flag.Int("cb-rows", 2560, "central buffer rows per bank")
+	chip2chip = flag.Bool("chip2chip", false, "chip-to-chip links (constant power)")
+	linkMm    = flag.Float64("link-mm", 3, "on-chip link length in mm")
+	linkWatts = flag.Float64("link-watts", 3, "chip-to-chip link power in W")
+	freqGHz   = flag.Float64("freq", 2, "clock frequency in GHz")
+	vdd       = flag.Float64("vdd", 0, "supply voltage override in V")
+	feature   = flag.Float64("feature", 0, "feature size in µm (0 = 0.1)")
+	muxtree   = flag.Bool("muxtree", false, "model a multiplexer-tree crossbar")
 )
+
+// Enum flags accept every name of the enum's table (config-file
+// spellings and aliases alike); a bad value fails in flag.Parse.
+var (
+	routerKind = orion.Wormhole
+	arbiter    = orion.MatrixArbiter
+)
+
+func init() {
+	flag.TextVar(&routerKind, "router", routerKind, "router kind: virtual-channel (vc), wormhole (wh), central-buffered (cb)")
+	flag.TextVar(&arbiter, "arbiter", arbiter, "arbiter model: matrix, round-robin (roundrobin, rr), queuing")
+}
 
 func main() {
 	flag.Parse()
 	cfg := orion.Config{
 		Width: 4, Height: 4,
 		Router: orion.RouterConfig{
+			Kind:        routerKind,
 			VCs:         *vcs,
 			BufferDepth: *depth,
 			FlitBits:    *flits,
 		},
 		Tech:    orion.TechConfig{FreqGHz: *freqGHz, Vdd: *vdd, FeatureUm: *feature},
 		Traffic: orion.TrafficConfig{Pattern: orion.Uniform(), Rate: 0.1, PacketLength: 5},
-		Sim:     orion.SimConfig{MuxTreeCrossbar: *muxtree},
+		Sim:     orion.SimConfig{Arbiter: arbiter, MuxTreeCrossbar: *muxtree},
 	}
-	switch *routerKind {
-	case "vc":
-		cfg.Router.Kind = orion.VirtualChannel
-	case "wormhole", "wh":
-		cfg.Router.Kind = orion.Wormhole
+	if routerKind != orion.VirtualChannel {
 		cfg.Router.VCs = 0
-	case "cb":
-		cfg.Router.Kind = orion.CentralBuffered
-		cfg.Router.VCs = 0
+	}
+	if routerKind == orion.CentralBuffered {
 		cfg.Router.CentralBuffer = orion.CentralBufferConfig{
 			Banks: *cbBanks, Rows: *cbRows, ReadPorts: 2, WritePorts: 2,
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "orion-power: unknown router kind %q\n", *routerKind)
-		os.Exit(1)
-	}
-	switch *arb {
-	case "matrix":
-		cfg.Sim.Arbiter = orion.MatrixArbiter
-	case "roundrobin", "rr":
-		cfg.Sim.Arbiter = orion.RoundRobinArbiter
-	case "queuing":
-		cfg.Sim.Arbiter = orion.QueuingArbiter
-	default:
-		fmt.Fprintf(os.Stderr, "orion-power: unknown arbiter %q\n", *arb)
-		os.Exit(1)
 	}
 	if *chip2chip {
 		cfg.Link = orion.LinkConfig{ChipToChip: true, ConstantWatts: *linkWatts}

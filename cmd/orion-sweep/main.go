@@ -75,7 +75,6 @@ var (
 	topoSpec = flag.String("topology", "",
 		"topology spec overriding the preset's or default 4x4 shape: torusWxH, torusWxHxD, meshWxH (e.g. mesh32x32), cmeshWxHxC")
 
-	routerKind = flag.String("router", "vc", "router kind when no preset: vc, wormhole, cb")
 	vcs        = flag.Int("vcs", 2, "virtual channels per port")
 	depth      = flag.Int("depth", 8, "buffer depth in flits")
 	flits      = flag.Int("flits", 256, "flit width in bits")
@@ -89,7 +88,6 @@ var (
 			"(kinds: link-stall, link-drop, port-stall, bit-flip)")
 	faultLinks = flag.Int("fault-links", 0, "inject N random link-drop faults (degraded-network curve)")
 	faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed")
-	invariants = flag.String("invariants", "auto", "runtime invariant checker: auto, on, off")
 	pointTmo   = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none), e.g. 30s")
 
 	journalPath = flag.String("journal", "", "work-queue journal (JSON lines, fsynced per record) that makes the sweep crash-safe and resumable")
@@ -115,27 +113,22 @@ var (
 		"with -backends: HTTP dispatch attempts per point before degrading to local execution")
 )
 
+// Enum flags accept every name of the enum's table (config-file
+// spellings and aliases alike); a bad value fails in flag.Parse.
+var (
+	routerKind = orion.VirtualChannel
+	invariants = orion.InvariantAuto
+)
+
+func init() {
+	flag.TextVar(&routerKind, "router", routerKind,
+		"router kind when no preset: virtual-channel (vc), wormhole (wh), central-buffered (cb)")
+	flag.TextVar(&invariants, "invariants", invariants, "runtime invariant checker: auto, on, off")
+}
+
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "orion-sweep: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func presetConfig(name string) (orion.Config, bool) {
-	switch name {
-	case "wh64":
-		return orion.OnChip4x4(orion.WH64(), 0), true
-	case "vc16":
-		return orion.OnChip4x4(orion.VC16(), 0), true
-	case "vc64":
-		return orion.OnChip4x4(orion.VC64(), 0), true
-	case "vc128":
-		return orion.OnChip4x4(orion.VC128(), 0), true
-	case "xb":
-		return orion.ChipToChip4x4(orion.XB(), 0), true
-	case "cb":
-		return orion.ChipToChip4x4(orion.CB(), 0), true
-	}
-	return orion.Config{}, false
 }
 
 func main() {
@@ -211,27 +204,17 @@ func run() (status int) {
 
 	var cfg orion.Config
 	if *preset != "" {
-		var ok bool
-		cfg, ok = presetConfig(strings.ToLower(*preset))
-		if !ok {
-			fail("unknown preset %q", *preset)
+		if cfg, err = orion.PaperPreset(*preset, 0); err != nil {
+			fail("-preset: %v", err)
 		}
 	} else {
 		cfg = orion.Config{
 			Width: 4, Height: 4,
-			Router:  orion.RouterConfig{VCs: *vcs, BufferDepth: *depth, FlitBits: *flits},
+			Router:  orion.RouterConfig{Kind: routerKind, VCs: *vcs, BufferDepth: *depth, FlitBits: *flits},
 			Traffic: orion.TrafficConfig{Pattern: orion.Uniform(), PacketLength: 5},
 		}
-		switch *routerKind {
-		case "vc":
-			cfg.Router.Kind = orion.VirtualChannel
-		case "wormhole", "wh":
-			cfg.Router.Kind = orion.Wormhole
-		case "cb":
-			cfg.Router.Kind = orion.CentralBuffered
+		if routerKind == orion.CentralBuffered {
 			cfg.Router.CentralBuffer = orion.CentralBufferConfig{Banks: 4, Rows: 2560, ReadPorts: 2, WritePorts: 2}
-		default:
-			fail("unknown router kind %q", *routerKind)
 		}
 		if *chip2chip {
 			cfg.Link = orion.LinkConfig{ChipToChip: true, ConstantWatts: 3}
@@ -253,16 +236,7 @@ func run() (status int) {
 	cfg.Sim.PointTimeout = *pointTmo
 	cfg.Sim.Workers = *workers
 	cfg.Sim.PointRetries = *retries
-	switch *invariants {
-	case "auto":
-		cfg.CheckInvariants = orion.InvariantAuto
-	case "on":
-		cfg.CheckInvariants = orion.InvariantOn
-	case "off":
-		cfg.CheckInvariants = orion.InvariantOff
-	default:
-		fail("unknown invariant mode %q (want auto, on or off)", *invariants)
-	}
+	cfg.CheckInvariants = invariants
 	var faults []orion.Fault
 	if *faultSpec != "" {
 		fs, err := orion.ParseFaultSpec(*faultSpec)
@@ -406,24 +380,15 @@ func run() (status int) {
 		}
 	}
 	fmt.Printf("%8s %12s %14s %12s\n", "rate", "latency", "throughput", "power(W)")
-	sat, satFound := 0.0, false
 	for i, res := range results {
 		if res == nil {
 			fmt.Printf("%8.3f %12s %14s %12s  (%s)\n", rates[i], "--", "--", "--", classify(pointErrs[i]))
-			// An over-saturated point that could not finish marks saturation;
-			// other failures (timeout, deadlock, cancellation) say nothing
-			// about the latency curve.
-			if orion.FailureCode(pointErrs[i]) == orion.CodeSaturated && (!satFound || rates[i] < sat) {
-				sat, satFound = rates[i], true
-			}
 			continue
 		}
 		fmt.Printf("%8.3f %12.2f %14.4f %12.4g\n",
 			rates[i], res.AvgLatency, res.AcceptedFlitsPerNodeCycle, res.TotalPowerW)
-		if res.AvgLatency > 2*zl && (!satFound || rates[i] < sat) {
-			sat, satFound = rates[i], true
-		}
 	}
+	sat, satFound := orion.SaturationRate(rates, results, sweepErr, zl)
 	if satFound {
 		fmt.Printf("saturation throughput: %.3f packets/cycle/node (latency > 2x zero-load)\n", sat)
 	} else {

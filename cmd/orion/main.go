@@ -49,14 +49,13 @@ var (
 	topoSpec = flag.String("topology", "",
 		"topology spec overriding -width/-height/-z/-mesh: torusWxH, torusWxHxD, meshWxH (e.g. mesh32x32), cmeshWxHxC")
 
-	routerKind = flag.String("router", "vc", "router kind: vc, wormhole, cb")
-	vcs        = flag.Int("vcs", 2, "virtual channels per port (vc router)")
-	depth      = flag.Int("depth", 8, "input buffer depth in flits (per VC for vc routers)")
-	flits      = flag.Int("flits", 256, "flit width in bits")
-	cbBanks    = flag.Int("cb-banks", 4, "central buffer banks (cb router)")
-	cbRows     = flag.Int("cb-rows", 2560, "central buffer rows per bank (cb router)")
-	cbRead     = flag.Int("cb-read", 2, "central buffer read ports (cb router)")
-	cbWrite    = flag.Int("cb-write", 2, "central buffer write ports (cb router)")
+	vcs     = flag.Int("vcs", 2, "virtual channels per port (vc router)")
+	depth   = flag.Int("depth", 8, "input buffer depth in flits (per VC for vc routers)")
+	flits   = flag.Int("flits", 256, "flit width in bits")
+	cbBanks = flag.Int("cb-banks", 4, "central buffer banks (cb router)")
+	cbRows  = flag.Int("cb-rows", 2560, "central buffer rows per bank (cb router)")
+	cbRead  = flag.Int("cb-read", 2, "central buffer read ports (cb router)")
+	cbWrite = flag.Int("cb-write", 2, "central buffer write ports (cb router)")
 
 	chip2chip = flag.Bool("chip2chip", false, "chip-to-chip links with constant power")
 	linkMm    = flag.Float64("link-mm", 3, "on-chip link length in mm")
@@ -66,7 +65,6 @@ var (
 	vdd     = flag.Float64("vdd", 0, "supply voltage override in V (0 = process default)")
 	feature = flag.Float64("feature", 0, "feature size in µm (0 = 0.1)")
 
-	pattern  = flag.String("pattern", "uniform", "traffic: uniform, broadcast, transpose, bitcomp, tornado, hotspot, neighbor")
 	source   = flag.Int("source", 0, "broadcast source / hotspot node")
 	fraction = flag.Float64("fraction", 0.2, "hotspot traffic fraction")
 	rate     = flag.Float64("rate", 0.1, "injection rate in packets/cycle/node")
@@ -79,8 +77,7 @@ var (
 	workers = flag.Int("workers", 0,
 		"parallel tick workers (0 = ORION_WORKERS env or all cores; capped at half the node count; results are identical at any count)")
 
-	showMap  = flag.Bool("map", true, "print the per-node power map")
-	deadlock = flag.String("deadlock", "bubble", "torus deadlock avoidance: bubble, dateline, none")
+	showMap = flag.Bool("map", true, "print the per-node power map")
 
 	configPath = flag.String("config", "", "load the full configuration from a JSON file (other flags ignored)")
 	dumpConfig = flag.Bool("dump-config", false, "print the effective configuration as JSON and exit")
@@ -90,12 +87,10 @@ var (
 		"inject faults: comma-separated kind:node:port[:start[:duration[:rate]]] "+
 			"(kinds: link-stall, link-drop, port-stall, bit-flip)")
 	faultLinks = flag.Int("fault-links", 0, "inject N random link faults of -fault-kind instead of -faults")
-	faultKind  = flag.String("fault-kind", "link-stall", "random link fault kind: link-stall, link-drop, bit-flip")
 	faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed (drives link picks and bit-flip draws)")
 	faultStart = flag.Int64("fault-start", 0, "first faulty cycle")
 	faultDur   = flag.Int64("fault-duration", 0, "fault window in cycles (0 = permanent)")
 	faultRate  = flag.Float64("fault-rate", 0.01, "per-flit corruption probability of bit-flip faults")
-	invariants = flag.String("invariants", "auto", "runtime invariant checker: auto, on, off")
 
 	snapPath   = flag.String("snapshot", "", "periodic checksummed state snapshot file (atomic rewrite; resume with -resume)")
 	snapEvery  = flag.Int64("snapshot-every", 10000, "cycles between periodic snapshots (with -snapshot)")
@@ -103,6 +98,25 @@ var (
 	selfCheck  = flag.Int64("selfcheck", 0,
 		"divergence self-check: run the fast and reference event paths in lockstep, comparing state hashes every N cycles, then exit")
 )
+
+// Enum flags accept every name of the enum's table (config-file
+// spellings and aliases alike); a bad value fails in flag.Parse.
+var (
+	routerKind = orion.VirtualChannel
+	pattern    = orion.PatternUniform
+	deadlock   = orion.DeadlockBubble
+	faultKind  = orion.FaultLinkStall
+	invariants = orion.InvariantAuto
+)
+
+func init() {
+	flag.TextVar(&routerKind, "router", routerKind, "router kind: virtual-channel (vc), wormhole (wh), central-buffered (cb)")
+	flag.TextVar(&pattern, "pattern", pattern,
+		"traffic: uniform, broadcast, transpose, bit-complement (bitcomp), tornado, hotspot, neighbor")
+	flag.TextVar(&deadlock, "deadlock", deadlock, "torus deadlock avoidance: bubble, dateline, none")
+	flag.TextVar(&faultKind, "fault-kind", faultKind, "random link fault kind: link-stall, link-drop, bit-flip")
+	flag.TextVar(&invariants, "invariants", invariants, "runtime invariant checker: auto, on, off")
+}
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "orion: "+format+"\n", args...)
@@ -133,18 +147,11 @@ func buildConfig() orion.Config {
 		spec.Apply(&cfg)
 	}
 
-	switch *routerKind {
-	case "vc", "virtual-channel":
-		cfg.Router.Kind = orion.VirtualChannel
-	case "wormhole", "wh":
-		cfg.Router.Kind = orion.Wormhole
-	case "cb", "central-buffered":
-		cfg.Router.Kind = orion.CentralBuffered
+	cfg.Router.Kind = routerKind
+	if routerKind == orion.CentralBuffered {
 		cfg.Router.CentralBuffer = orion.CentralBufferConfig{
 			Banks: *cbBanks, Rows: *cbRows, ReadPorts: *cbRead, WritePorts: *cbWrite,
 		}
-	default:
-		fail("unknown router kind %q", *routerKind)
 	}
 
 	if *chip2chip {
@@ -153,35 +160,14 @@ func buildConfig() orion.Config {
 		cfg.Link = orion.LinkConfig{LengthMm: *linkMm}
 	}
 
-	switch *pattern {
-	case "uniform":
-		cfg.Traffic.Pattern = orion.Uniform()
-	case "broadcast":
-		cfg.Traffic.Pattern = orion.BroadcastFrom(*source)
-	case "transpose":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternTranspose}
-	case "bitcomp":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternBitComplement}
-	case "tornado":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternTornado}
-	case "hotspot":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternHotspot, Source: *source, Fraction: *fraction}
-	case "neighbor":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternNeighbor}
-	default:
-		fail("unknown pattern %q", *pattern)
+	cfg.Traffic.Pattern = orion.Pattern{Kind: pattern}
+	switch pattern {
+	case orion.PatternBroadcast:
+		cfg.Traffic.Pattern.Source = *source
+	case orion.PatternHotspot:
+		cfg.Traffic.Pattern.Source, cfg.Traffic.Pattern.Fraction = *source, *fraction
 	}
-
-	switch *deadlock {
-	case "bubble":
-		cfg.Sim.Deadlock = orion.DeadlockBubble
-	case "dateline":
-		cfg.Sim.Deadlock = orion.DeadlockDateline
-	case "none":
-		cfg.Sim.Deadlock = orion.DeadlockNone
-	default:
-		fail("unknown deadlock mode %q", *deadlock)
-	}
+	cfg.Sim.Deadlock = deadlock
 	return cfg
 }
 
@@ -363,16 +349,7 @@ func topoName(cfg orion.Config) string {
 // applyFaultFlags translates the fault and invariant flags onto the
 // configuration (after -config loading, so flags refine a config file).
 func applyFaultFlags(cfg *orion.Config) {
-	switch *invariants {
-	case "auto":
-		cfg.CheckInvariants = orion.InvariantAuto
-	case "on":
-		cfg.CheckInvariants = orion.InvariantOn
-	case "off":
-		cfg.CheckInvariants = orion.InvariantOff
-	default:
-		fail("unknown invariant mode %q (want auto, on or off)", *invariants)
-	}
+	cfg.CheckInvariants = invariants
 
 	var faults []orion.Fault
 	if *faultSpec != "" {
@@ -383,22 +360,11 @@ func applyFaultFlags(cfg *orion.Config) {
 		faults = append(faults, fs...)
 	}
 	if *faultLinks > 0 {
-		var kind orion.FaultKind
-		switch *faultKind {
-		case "link-stall":
-			kind = orion.FaultLinkStall
-		case "link-drop":
-			kind = orion.FaultLinkDrop
-		case "bit-flip", "bitflip":
-			kind = orion.FaultBitFlip
-		default:
-			fail("unknown fault kind %q (want link-stall, link-drop or bit-flip)", *faultKind)
-		}
 		rate := 0.0
-		if kind == orion.FaultBitFlip {
+		if faultKind == orion.FaultBitFlip {
 			rate = *faultRate
 		}
-		fs, err := orion.RandomLinkFaults(*cfg, *faultSeed, *faultLinks, kind, *faultStart, *faultDur, rate)
+		fs, err := orion.RandomLinkFaults(*cfg, *faultSeed, *faultLinks, faultKind, *faultStart, *faultDur, rate)
 		if err != nil {
 			fail("%v", err)
 		}

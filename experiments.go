@@ -85,15 +85,13 @@ func Fig5Configs() []struct {
 	Label  string
 	Router RouterConfig
 } {
-	return []struct {
-		Label  string
-		Router RouterConfig
-	}{
-		{"WH64", WH64()},
-		{"VC16", VC16()},
-		{"VC64", VC64()},
-		{"VC128", VC128()},
+	var out []paperRouter
+	for _, p := range paperRouters {
+		if !p.chipToChip {
+			out = append(out, p.paperRouter)
+		}
 	}
+	return out
 }
 
 // sweepCurve measures one configuration across rates, tolerating
@@ -105,46 +103,42 @@ func sweepCurve(label string, base Config, rates []float64) (ConfigCurve, error)
 		return curve, fmt.Errorf("%s zero-load: %w", label, err)
 	}
 	curve.ZeroLoad = zl
-	results, _ := Sweep(base, rates) // per-point failures become Failed points
-	var okRates, okLats []float64
+	results, sweepErr := Sweep(base, rates) // per-point failures become Failed points
 	for i, res := range results {
-		pt := RatePoint{Rate: rates[i]}
-		if res == nil {
-			pt.Failed = true
-		} else {
+		pt := RatePoint{Rate: rates[i], Failed: res == nil}
+		if res != nil {
 			pt.Latency = res.AvgLatency
 			pt.PowerW = res.TotalPowerW
 			pt.Throughput = res.AcceptedFlitsPerNodeCycle
 			pt.Breakdown = res.Breakdown
-			okRates = append(okRates, rates[i])
-			okLats = append(okLats, res.AvgLatency)
 		}
 		curve.Points = append(curve.Points, pt)
 	}
-	for i, pt := range curve.Points {
-		if pt.Failed {
-			// An aborted over-saturated run still witnesses saturation.
-			okRates = append(okRates, rates[i])
-			okLats = append(okLats, 2*zl*1e6)
-		}
-	}
-	if r, ok := saturationFrom(okRates, okLats, zl); ok {
-		curve.SaturationRate = r
-		curve.Saturated = true
-	}
+	curve.SaturationRate, curve.Saturated = SaturationRate(rates, results, sweepErr, zl)
 	return curve, nil
 }
 
-func saturationFrom(rates, lats []float64, zeroLoad float64) (float64, bool) {
-	best, found := 0.0, false
-	for i := range rates {
-		if lats[i] > 2*zeroLoad {
-			if !found || rates[i] < best {
-				best, found = rates[i], true
-			}
+// paperCurves sweeps every paper router of one experiment (on-chip or
+// chip-to-chip) over rates, optionally under broadcast traffic from node
+// (1,2).
+func paperCurves(opt ExperimentOptions, rates []float64, chipToChip, broadcast bool) ([]ConfigCurve, error) {
+	var curves []ConfigCurve
+	for _, p := range paperRouters {
+		if p.chipToChip != chipToChip {
+			continue
 		}
+		base := paperConfig(p.Router, chipToChip, 0)
+		if broadcast {
+			base.Traffic.Pattern = BroadcastFrom(BroadcastNode12)
+		}
+		opt.apply(&base)
+		curve, err := sweepCurve(p.Label, base, rates)
+		if err != nil {
+			return curves, err
+		}
+		curves = append(curves, curve)
 	}
-	return best, found
+	return curves, nil
 }
 
 // Figure5 sweeps the four on-chip configurations over the given rates
@@ -153,17 +147,7 @@ func Figure5(opt ExperimentOptions, rates []float64) ([]ConfigCurve, error) {
 	if rates == nil {
 		rates = Fig5Rates()
 	}
-	var curves []ConfigCurve
-	for _, c := range Fig5Configs() {
-		base := OnChip4x4(c.Router, 0)
-		opt.apply(&base)
-		curve, err := sweepCurve(c.Label, base, rates)
-		if err != nil {
-			return curves, err
-		}
-		curves = append(curves, curve)
-	}
-	return curves, nil
+	return paperCurves(opt, rates, false, false)
 }
 
 // Figure5Breakdown measures VC64's component power split at the given rate
@@ -204,27 +188,7 @@ func Figure7(opt ExperimentOptions, rates []float64, broadcast bool) ([]ConfigCu
 	if rates == nil {
 		rates = Fig7Rates()
 	}
-	cases := []struct {
-		Label  string
-		Router RouterConfig
-	}{
-		{"XB", XB()},
-		{"CB", CB()},
-	}
-	var curves []ConfigCurve
-	for _, c := range cases {
-		base := ChipToChip4x4(c.Router, 0)
-		if broadcast {
-			base.Traffic.Pattern = BroadcastFrom(BroadcastNode12)
-		}
-		opt.apply(&base)
-		curve, err := sweepCurve(c.Label, base, rates)
-		if err != nil {
-			return curves, err
-		}
-		curves = append(curves, curve)
-	}
-	return curves, nil
+	return paperCurves(opt, rates, true, broadcast)
 }
 
 // Figure7Breakdowns measures the XB and CB component power splits at the

@@ -34,22 +34,6 @@ const (
 	FaultBitFlip
 )
 
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultLinkStall:
-		return "link-stall"
-	case FaultLinkDrop:
-		return "link-drop"
-	case FaultPortStall:
-		return "port-stall"
-	case FaultBitFlip:
-		return "bit-flip"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
 // Fault schedules one fault at a router port.
 type Fault struct {
 	// Kind classifies the fault.
@@ -117,14 +101,19 @@ func faultStatsFromInternal(s fault.Stats) FaultStats {
 
 // RandomLinkFaults builds n faults of the given kind on links picked
 // uniformly (without replacement while n allows) from the configuration's
-// topology, deterministically from seed. Use it to study degraded-network
-// curves without hand-picking links:
+// topology, deterministically from seed. kind must be a link fault
+// (FaultLinkStall, FaultLinkDrop or FaultBitFlip); FaultPortStall, an
+// input-port fault, is rejected. Use it to study degraded-network curves
+// without hand-picking links:
 //
 //	cfg.Faults = &orion.FaultsConfig{
 //		Seed:   1,
 //		Faults: must(orion.RandomLinkFaults(cfg, 1, 3, orion.FaultLinkStall, 0, 0, 0)),
 //	}
 func RandomLinkFaults(cfg Config, seed int64, n int, kind FaultKind, start, duration int64, rate float64) ([]Fault, error) {
+	if kind != FaultLinkStall && kind != FaultLinkDrop && kind != FaultBitFlip {
+		return nil, fmt.Errorf("orion: RandomLinkFaults: %v is not a link fault (want link-stall, link-drop or bit-flip)", kind)
+	}
 	ccfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
@@ -157,7 +146,8 @@ func RandomLinkFaults(cfg Config, seed int64, n int, kind FaultKind, start, dura
 //
 //	kind:node:port[:start[:duration[:rate]]]
 //
-// where kind is link-stall, link-drop, port-stall or bit-flip, duration 0
+// where kind is a FaultKind name (link-stall, link-drop, port-stall,
+// bit-flip or its alias bitflip), duration 0
 // means permanent, and rate is the per-flit probability of a bit-flip.
 // It is the textual form behind the CLIs' -faults flag:
 //
@@ -174,17 +164,8 @@ func ParseFaultSpec(spec string) ([]Fault, error) {
 			return nil, fmt.Errorf("orion: fault %q: want kind:node:port[:start[:duration[:rate]]]", tok)
 		}
 		var f Fault
-		switch parts[0] {
-		case "link-stall":
-			f.Kind = FaultLinkStall
-		case "link-drop":
-			f.Kind = FaultLinkDrop
-		case "port-stall":
-			f.Kind = FaultPortStall
-		case "bit-flip", "bitflip":
-			f.Kind = FaultBitFlip
-		default:
-			return nil, fmt.Errorf("orion: fault %q: unknown kind %q", tok, parts[0])
+		if err := f.Kind.UnmarshalText([]byte(parts[0])); err != nil {
+			return nil, fmt.Errorf("orion: fault %q: %w", tok, err)
 		}
 		fields := []struct {
 			name string
@@ -225,27 +206,14 @@ type InvariantMode int
 const (
 	// InvariantAuto (default) enables the checker under `go test`
 	// (testing.Testing()) and disables it otherwise; the ORION_INVARIANTS
-	// environment variable ("1"/"on" or "0"/"off") overrides both.
+	// environment variable, read as an InvariantMode name ("on", "1" or
+	// "true"; "off", "0" or "false"), overrides both.
 	InvariantAuto InvariantMode = iota
 	// InvariantOn always checks (per-event bookkeeping cost).
 	InvariantOn
 	// InvariantOff never checks (production hot path).
 	InvariantOff
 )
-
-// String implements fmt.Stringer.
-func (m InvariantMode) String() string {
-	switch m {
-	case InvariantAuto:
-		return "auto"
-	case InvariantOn:
-		return "on"
-	case InvariantOff:
-		return "off"
-	default:
-		return fmt.Sprintf("InvariantMode(%d)", int(m))
-	}
-}
 
 // enabled resolves the mode to a concrete on/off decision.
 func (m InvariantMode) enabled() bool {
@@ -255,11 +223,9 @@ func (m InvariantMode) enabled() bool {
 	case InvariantOff:
 		return false
 	}
-	switch os.Getenv("ORION_INVARIANTS") {
-	case "1", "on", "true":
-		return true
-	case "0", "off", "false":
-		return false
+	var env InvariantMode
+	if env.UnmarshalText([]byte(os.Getenv("ORION_INVARIANTS"))) == nil && env != InvariantAuto {
+		return env == InvariantOn
 	}
 	return testing.Testing()
 }

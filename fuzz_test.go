@@ -46,6 +46,7 @@ func FuzzParseFaultSpec(f *testing.F) {
 	f.Add("link-stall:3:1")
 	f.Add("bit-flip:0:2:1000:500:0.01,link-drop:5:0:200")
 	f.Add("port-stall:0:0:0:0")
+	f.Add("bitflip:1:0:0:0:0.5")
 	f.Add(":::::")
 	f.Add("link-stall:-1:-2:-3")
 	f.Fuzz(func(t *testing.T, spec string) {

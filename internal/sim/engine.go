@@ -132,7 +132,7 @@ func (e *Engine) Step() error {
 			if g != nil && !g.awake {
 				continue
 			}
-			if err := e.tickModule(m); err != nil {
+			if err := tickModule(m, e.cycle); err != nil {
 				return err
 			}
 			if g != nil && g.q.Quiescent() {
@@ -141,7 +141,7 @@ func (e *Engine) Step() error {
 		}
 	} else {
 		for _, m := range e.modules {
-			if err := e.tickModule(m); err != nil {
+			if err := tickModule(m, e.cycle); err != nil {
 				return err
 			}
 		}
@@ -179,19 +179,6 @@ func (e *Engine) finishLatch() error {
 		wrapped[i] = fmt.Errorf("sim: cycle %d: %w", e.cycle, se.err)
 	}
 	return errors.Join(wrapped...)
-}
-
-// tickModule runs one module's Tick with panic recovery.
-func (e *Engine) tickModule(m Module) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: cycle %d: module %s: panic: %v", e.cycle, m.Name(), r)
-		}
-	}()
-	if err := m.Tick(e.cycle); err != nil {
-		return fmt.Errorf("sim: cycle %d: module %s: %w", e.cycle, m.Name(), err)
-	}
-	return nil
 }
 
 // Run executes n cycles, stopping at the first error.

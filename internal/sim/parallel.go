@@ -322,7 +322,7 @@ func (e *Engine) stepParallel() error {
 		}
 	}
 	for _, m := range e.modules {
-		if err := e.tickModule(m); err != nil {
+		if err := tickModule(m, e.cycle); err != nil {
 			return err
 		}
 	}
@@ -336,9 +336,9 @@ func (e *Engine) stepParallel() error {
 	return err
 }
 
-// tickModule runs one module's Tick with panic recovery. It is the
-// package-level twin of Engine.tickModule for goroutines that must not
-// touch the engine.
+// tickModule runs one module's Tick with panic recovery. It takes the
+// cycle rather than the engine, so pool workers can call it without
+// touching the engine.
 func tickModule(m Module, cycle int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -6,205 +6,13 @@ import (
 )
 
 // JSON support: Config round-trips through JSON with human-readable enum
-// names, so simulations can be described in config files (see cmd/orion's
-// -config flag).
-
-func marshalEnum(s string) ([]byte, error) { return json.Marshal(s) }
-
-func unmarshalEnum(data []byte, what string, names map[string]int) (int, error) {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		// Accept bare integers for backward compatibility.
-		var v int
-		if err2 := json.Unmarshal(data, &v); err2 == nil {
-			return v, nil
-		}
-		return 0, fmt.Errorf("orion: %s: %w", what, err)
-	}
-	v, ok := names[s]
-	if !ok {
-		return 0, fmt.Errorf("orion: unknown %s %q", what, s)
-	}
-	return v, nil
-}
-
-var routerKindNames = map[string]int{
-	"virtual-channel":  int(VirtualChannel),
-	"vc":               int(VirtualChannel),
-	"wormhole":         int(Wormhole),
-	"central-buffered": int(CentralBuffered),
-	"cb":               int(CentralBuffered),
-}
-
-// MarshalJSON implements json.Marshaler.
-func (k RouterKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *RouterKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "router kind", routerKindNames)
-	if err != nil {
-		return err
-	}
-	*k = RouterKind(v)
-	return nil
-}
-
-var patternKindNames = map[string]int{
-	"uniform":        int(PatternUniform),
-	"broadcast":      int(PatternBroadcast),
-	"transpose":      int(PatternTranspose),
-	"bit-complement": int(PatternBitComplement),
-	"bitcomp":        int(PatternBitComplement),
-	"tornado":        int(PatternTornado),
-	"hotspot":        int(PatternHotspot),
-	"neighbor":       int(PatternNeighbor),
-}
-
-// String implements fmt.Stringer.
-func (k PatternKind) String() string {
-	switch k {
-	case PatternUniform:
-		return "uniform"
-	case PatternBroadcast:
-		return "broadcast"
-	case PatternTranspose:
-		return "transpose"
-	case PatternBitComplement:
-		return "bit-complement"
-	case PatternTornado:
-		return "tornado"
-	case PatternHotspot:
-		return "hotspot"
-	case PatternNeighbor:
-		return "neighbor"
-	default:
-		return fmt.Sprintf("PatternKind(%d)", int(k))
-	}
-}
-
-// MarshalJSON implements json.Marshaler.
-func (k PatternKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *PatternKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "traffic pattern", patternKindNames)
-	if err != nil {
-		return err
-	}
-	*k = PatternKind(v)
-	return nil
-}
-
-var arbiterKindNames = map[string]int{
-	"matrix":      int(MatrixArbiter),
-	"round-robin": int(RoundRobinArbiter),
-	"roundrobin":  int(RoundRobinArbiter),
-	"queuing":     int(QueuingArbiter),
-}
-
-// String implements fmt.Stringer.
-func (k ArbiterKind) String() string {
-	switch k {
-	case MatrixArbiter:
-		return "matrix"
-	case RoundRobinArbiter:
-		return "round-robin"
-	case QueuingArbiter:
-		return "queuing"
-	default:
-		return fmt.Sprintf("ArbiterKind(%d)", int(k))
-	}
-}
-
-// MarshalJSON implements json.Marshaler.
-func (k ArbiterKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *ArbiterKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "arbiter kind", arbiterKindNames)
-	if err != nil {
-		return err
-	}
-	*k = ArbiterKind(v)
-	return nil
-}
-
-var deadlockModeNames = map[string]int{
-	"bubble":   int(DeadlockBubble),
-	"dateline": int(DeadlockDateline),
-	"none":     int(DeadlockNone),
-}
-
-// String implements fmt.Stringer.
-func (m DeadlockMode) String() string {
-	switch m {
-	case DeadlockBubble:
-		return "bubble"
-	case DeadlockDateline:
-		return "dateline"
-	case DeadlockNone:
-		return "none"
-	default:
-		return fmt.Sprintf("DeadlockMode(%d)", int(m))
-	}
-}
-
-// MarshalJSON implements json.Marshaler.
-func (m DeadlockMode) MarshalJSON() ([]byte, error) { return marshalEnum(m.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *DeadlockMode) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "deadlock mode", deadlockModeNames)
-	if err != nil {
-		return err
-	}
-	*m = DeadlockMode(v)
-	return nil
-}
-
-var faultKindNames = map[string]int{
-	"link-stall": int(FaultLinkStall),
-	"link-drop":  int(FaultLinkDrop),
-	"port-stall": int(FaultPortStall),
-	"bit-flip":   int(FaultBitFlip),
-	"bitflip":    int(FaultBitFlip),
-}
-
-// MarshalJSON implements json.Marshaler.
-func (k FaultKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *FaultKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "fault kind", faultKindNames)
-	if err != nil {
-		return err
-	}
-	*k = FaultKind(v)
-	return nil
-}
-
-var invariantModeNames = map[string]int{
-	"auto": int(InvariantAuto),
-	"on":   int(InvariantOn),
-	"off":  int(InvariantOff),
-}
-
-// MarshalJSON implements json.Marshaler.
-func (m InvariantMode) MarshalJSON() ([]byte, error) { return marshalEnum(m.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *InvariantMode) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "invariant mode", invariantModeNames)
-	if err != nil {
-		return err
-	}
-	*m = InvariantMode(v)
-	return nil
-}
+// names (the tables in names.go), so simulations can be described in
+// config files (see cmd/orion's -config flag).
 
 // LoadConfigJSON parses and validates a Config from JSON. Enum fields
-// accept their string names ("wormhole", "broadcast", "bubble",
-// "link-stall", ...). The returned configuration has passed
+// accept every name in their table ("wormhole" or "wh", "broadcast",
+// "bubble", "link-stall", ...) and, for backward compatibility, bare
+// integers. The returned configuration has passed
 // Config.Validate, so structural mistakes in a config file surface here —
 // aggregated, with field-qualified messages — not mid-sweep.
 func LoadConfigJSON(data []byte) (Config, error) {

@@ -1,9 +1,12 @@
 package orion
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fastConfig is a quick 4×4 on-chip VC configuration for unit tests.
@@ -161,6 +164,56 @@ func TestZeroLoadAndSaturation(t *testing.T) {
 	}
 	if len(results) != 4 {
 		t.Errorf("results length = %d", len(results))
+	}
+}
+
+// TestSaturationThroughputSkipsTimeouts: a point that timed out says
+// nothing about the latency curve, so a sweep whose every point timed out
+// has not saturated and keeps its error.
+func TestSaturationThroughputSkipsTimeouts(t *testing.T) {
+	cfg := fastConfig(0)
+	cfg.Sim.PointTimeout = time.Nanosecond
+	rate, ok, _, err := SaturationThroughput(cfg, []float64{0.05, 0.15})
+	if ok || FailureCode(err) != CodeTimeout {
+		t.Errorf("all points timed out: rate %g ok %v err %v; want ok=false and the timeout", rate, ok, err)
+	}
+}
+
+// TestSaturationRate pins the one saturation rule (Section 4.1): the
+// lowest rate whose latency exceeds twice zero-load, where a point that
+// failed on MaxCycles counts as saturated and any other failure is
+// skipped.
+func TestSaturationRate(t *testing.T) {
+	over := fastConfig(0.3)
+	over.Sim.MaxCycles = 100
+	_, satErr := Run(over)
+	if !errors.Is(satErr, ErrSaturated) {
+		t.Fatalf("MaxCycles 100 run: %v, want ErrSaturated", satErr)
+	}
+	timeout := context.DeadlineExceeded
+	lat := func(l float64) *Result { return &Result{AvgLatency: l} }
+	rates := []float64{0.05, 0.10, 0.15, 0.20}
+	for _, tc := range []struct {
+		name     string
+		results  []*Result
+		errs     []error
+		wantRate float64
+		wantOK   bool
+	}{
+		{"latency crosses", []*Result{lat(10), lat(15), lat(30), lat(90)}, nil, 0.15, true},
+		{"below saturation", []*Result{lat(10), lat(11), lat(12), lat(13)}, nil, 0, false},
+		{"timeouts skipped", []*Result{lat(10), nil, nil, nil}, []error{nil, timeout, timeout, timeout}, 0, false},
+		{"saturated failure counts", []*Result{lat(10), nil, nil, lat(90)}, []error{nil, timeout, satErr, nil}, 0.15, true},
+		{"lowest rate wins", []*Result{lat(10), nil, lat(90), nil}, []error{nil, satErr, nil, satErr}, 0.10, true},
+	} {
+		var sweepErr error
+		if serr := collectSweepError(rates, append(tc.errs, make([]error, len(rates)-len(tc.errs))...)); serr != nil {
+			sweepErr = serr
+		}
+		rate, ok := SaturationRate(rates, tc.results, sweepErr, 10)
+		if rate != tc.wantRate || ok != tc.wantOK {
+			t.Errorf("%s: got (%g, %v), want (%g, %v)", tc.name, rate, ok, tc.wantRate, tc.wantOK)
+		}
 	}
 }
 

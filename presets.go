@@ -1,5 +1,10 @@
 package orion
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Paper configurations (Sections 4.2–4.4). These are the exact setups of
 // the evaluation: a 16-node 4×4 torus; on-chip experiments use 256-bit
 // flits at 2 GHz and 1.2 V in a 0.1 µm process with 3 mm links on a
@@ -118,3 +123,48 @@ func ChipToChip4x4(r RouterConfig, rate float64) Config {
 // BroadcastNode12 is the paper's broadcast source, node (1,2) of the 4×4
 // torus (Section 4.3).
 const BroadcastNode12 = 2*4 + 1
+
+// paperRouter is one of the paper's evaluated routers with its label.
+type paperRouter = struct {
+	Label  string
+	Router RouterConfig
+}
+
+// paperRouters are the paper's six routers in presentation order, each
+// with its experiment: the on-chip study of Section 4.2 (Figure 5) or the
+// chip-to-chip study of Section 4.4 (Figure 7).
+var paperRouters = []struct {
+	paperRouter
+	chipToChip bool
+}{
+	{paperRouter{"WH64", WH64()}, false},
+	{paperRouter{"VC16", VC16()}, false},
+	{paperRouter{"VC64", VC64()}, false},
+	{paperRouter{"VC128", VC128()}, false},
+	{paperRouter{"XB", XB()}, true},
+	{paperRouter{"CB", CB()}, true},
+}
+
+// paperConfig is the experiment a paper router belongs to, at the given
+// injection rate.
+func paperConfig(r RouterConfig, chipToChip bool, rate float64) Config {
+	if chipToChip {
+		return ChipToChip4x4(r, rate)
+	}
+	return OnChip4x4(r, rate)
+}
+
+// PaperPreset returns the paper's experiment for the router labelled name
+// (WH64, VC16, VC64, VC128, XB or CB; case-insensitive) at the given
+// injection rate: OnChip4x4 for the Figure 5 routers, ChipToChip4x4 for
+// XB and CB.
+func PaperPreset(name string, rate float64) (Config, error) {
+	var labels []string
+	for _, p := range paperRouters {
+		if strings.EqualFold(p.Label, name) {
+			return paperConfig(p.Router, p.chipToChip, rate), nil
+		}
+		labels = append(labels, p.Label)
+	}
+	return Config{}, fmt.Errorf("orion: unknown preset %q (want %s)", name, strings.Join(labels, ", "))
+}

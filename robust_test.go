@@ -324,6 +324,17 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 }
 
+// TestRandomLinkFaultsRejectsNonLinkKinds: a port stall is an input-port
+// fault, so it (and any out-of-range kind) cannot be placed on links.
+func TestRandomLinkFaultsRejectsNonLinkKinds(t *testing.T) {
+	for _, kind := range []FaultKind{FaultPortStall, FaultKind(9)} {
+		fs, err := RandomLinkFaults(fastConfig(0.05), 1, 3, kind, 0, 0, 0)
+		if err == nil || !strings.Contains(err.Error(), kind.String()) {
+			t.Errorf("%v: got %v, %v; want an error naming the kind", kind, fs, err)
+		}
+	}
+}
+
 // TestRandomLinkFaultsDeterministic pins the public random-link helper.
 func TestRandomLinkFaultsDeterministic(t *testing.T) {
 	cfg := fastConfig(0.05)

@@ -682,31 +682,46 @@ func runPointOnce(ctx context.Context, cfg Config, rate float64) (res *Result, e
 
 // SaturationThroughput sweeps the injection rates and returns the lowest
 // rate whose latency exceeds twice the zero-load latency — the paper's
-// saturation definition (Section 4.1). ok is false when the network does
-// not saturate within the given rates.
+// saturation definition (Section 4.1), applied by SaturationRate. ok is
+// false when the network does not saturate within the given rates; err
+// is the sweep's error, dropped when ok.
 func SaturationThroughput(cfg Config, rates []float64) (rate float64, ok bool, results []*Result, err error) {
 	zl, err := ZeroLoadLatency(cfg)
 	if err != nil {
 		return 0, false, nil, err
 	}
 	results, err = Sweep(cfg, rates)
-	// A deep-saturation failure still witnesses saturation; scan what we
-	// have.
-	var rs, ls []float64
-	for i, res := range results {
-		if res != nil {
-			rs = append(rs, rates[i])
-			ls = append(ls, res.AvgLatency)
-		} else {
-			// Treat an aborted (over-saturated) run as infinitely
-			// slow at that rate.
-			rs = append(rs, rates[i])
-			ls = append(ls, 1e18)
-		}
-	}
-	rate, ok = stats.SaturationRate(rs, ls, zl)
+	rate, ok = SaturationRate(rates, results, err, zl)
 	if ok {
 		err = nil
 	}
 	return rate, ok, results, err
+}
+
+// SaturationRate applies the paper's saturation definition (Section 4.1)
+// to a finished sweep: the lowest rate whose latency exceeds twice
+// zeroLoad. results and sweepErr are what a sweep over rates returned. A
+// point that failed with ErrSaturated — driven so far past saturation
+// that its sample could not drain within MaxCycles — counts as
+// saturated. Any other failure (a timeout, cancellation, deadlock or
+// invariant violation) says nothing about the latency curve and is
+// skipped. ok is false when no point saturated.
+func SaturationRate(rates []float64, results []*Result, sweepErr error, zeroLoad float64) (rate float64, ok bool) {
+	var rs, lats []float64
+	for i, res := range results {
+		if res != nil {
+			rs = append(rs, rates[i])
+			lats = append(lats, res.AvgLatency)
+		}
+	}
+	var serr *SweepError
+	if errors.As(sweepErr, &serr) {
+		for j, i := range serr.Points {
+			if FailureCode(serr.Errs[j]) == CodeSaturated {
+				rs = append(rs, rates[i])
+				lats = append(lats, math.Inf(1))
+			}
+		}
+	}
+	return stats.SaturationRate(rs, lats, zeroLoad)
 }
