@@ -39,8 +39,9 @@ fuzz-smoke:
 checkpoint-resume:
 	scripts/checkpoint_resume.sh
 
-# End-to-end distributed-sweep chaos gate: 4 worker processes, two
-# SIGKILLed mid-run, merged CSV byte-identical to a clean sweep.
+# End-to-end multi-process sweep chaos gate: a -journal merger and 4
+# hand-started -worker processes, two SIGKILLed while holding claims,
+# merged CSV byte-identical to a clean sweep.
 distributed-sweep:
 	scripts/distributed_sweep.sh
 

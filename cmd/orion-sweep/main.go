@@ -16,12 +16,11 @@
 //	# work-queue journal, fsynced per record; resume after a kill:
 //	orion-sweep -preset vc64 -journal sweep.wal -resume -csv curve.csv
 //
-//	# Distributed sweep: 4 worker processes share the same journal;
-//	# killed workers lose their leases and survivors re-run their points:
-//	orion-sweep -preset vc64 -distributed 4 -journal sweep.wal -csv curve.csv
-//
-//	# Extra workers may join the same queue from other machines on a
-//	# shared filesystem (same config flags, same rates):
+//	# Multi-process sweep: the -journal process creates the queue, runs its
+//	# own workers and merges; extra -worker processes join it, on this
+//	# host or on any host sharing the file (same config flags and rates).
+//	# A killed worker loses its lease and the survivors re-run its points:
+//	orion-sweep -preset vc64 -journal sweep.wal -csv curve.csv &
 //	orion-sweep -preset vc64 -worker -journal sweep.wal
 //
 //	# Inspect a crashed or in-flight sweep:
@@ -52,11 +51,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -96,10 +93,8 @@ var (
 	workers     = flag.Int("workers", 0,
 		"parallel tick workers per point (0 = 1: the sweep already runs points on all cores; results are identical at any count)")
 
-	distributed = flag.Int("distributed", 0,
-		"run N worker subprocesses against the shared -journal work queue and merge their results")
 	workerMode = flag.Bool("worker", false,
-		"join the -journal work queue as one worker (spawned by -distributed, or by hand on a shared filesystem)")
+		"join the -journal work queue as one extra worker process (on this host or any host sharing the file)")
 	statusMode = flag.Bool("status", false,
 		"print per-point state of the -journal sweep (done/failed/claimed/pending) and exit")
 	leaseDur = flag.Duration("lease", 5*time.Second,
@@ -145,7 +140,7 @@ func run() (status int) {
 	// Validate numeric flags at parse time: a zero or negative lease
 	// would make every claim instantly stealable and a negative worker
 	// count or retry budget is meaningless — fail fast with the field
-	// named, before any journal is touched or process spawned.
+	// named, before any journal is touched.
 	if *leaseDur <= 0 {
 		fail("-lease: must be positive, got %v", *leaseDur)
 	}
@@ -154,9 +149,6 @@ func run() (status int) {
 	}
 	if *workers < 0 {
 		fail("-workers: must not be negative, got %d", *workers)
-	}
-	if *distributed < 0 {
-		fail("-distributed: must not be negative, got %d", *distributed)
 	}
 	if *pointTmo < 0 {
 		fail("-point-timeout: must not be negative, got %v", *pointTmo)
@@ -188,6 +180,17 @@ func run() (status int) {
 	}
 	if *resumeJrnl && *journalPath == "" {
 		fail("-resume: requires -journal")
+	}
+	if (*workerMode || *statusMode) && *journalPath == "" {
+		fail("-worker and -status require -journal")
+	}
+	// A worker only claims and commits points; the -journal merger owns
+	// the queue's creation and the output, so these would do nothing.
+	if *workerMode && *csvOut != "" {
+		fail("-csv: not written by -worker (the -journal merger writes the CSV)")
+	}
+	if *workerMode && *resumeJrnl {
+		fail("-resume: not applied by -worker (the -journal merger resumes the queue)")
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -265,19 +268,16 @@ func run() (status int) {
 		rates = append(rates, r)
 	}
 
-	if *workerMode && *distributed > 0 {
-		fail("-worker and -distributed are mutually exclusive")
-	}
-	if (*workerMode || *distributed > 0 || *statusMode) && *journalPath == "" {
-		fail("-worker, -distributed and -status require -journal")
-	}
 	if *statusMode {
 		return printStatus(*journalPath)
+	}
+	if err := cfg.Validate(); err != nil {
+		fail("%v", err)
 	}
 
 	// The backend pool, when -backends is set: points dispatch over HTTP
 	// with per-try deadlines derived from the lease, circuit breakers,
-	// and (unless opted out) local fallback. Workers and coordinators
+	// and (unless opted out) local fallback. Workers and the merger
 	// share the same pool wiring.
 	var pool *remote.Pool
 	var runner orion.PointRunner
@@ -304,14 +304,6 @@ func run() (status int) {
 			st.Remote, st.Local, st.Attempts, st.Busy, st.Failures, st.Trips)
 	}
 
-	zl, err := orion.ZeroLoadLatency(cfg)
-	if err != nil {
-		fail("zero-load: %v", err)
-	}
-	if !*workerMode {
-		fmt.Printf("zero-load latency: %.2f cycles\n", zl)
-	}
-
 	// SIGINT/SIGTERM cancel the sweep context; in-flight points abort,
 	// the journal keeps every already-completed point, and the partial
 	// table and CSV below still print before the 128+signal exit.
@@ -332,10 +324,10 @@ func run() (status int) {
 	}()
 
 	if *workerMode {
-		// Worker mode is quiet: no table, no CSV — the coordinator (or
-		// whoever merges the queue) owns the output. The worker claims,
-		// heartbeats, runs and commits points until the queue is drained
-		// or it is told to stop.
+		// Worker mode is quiet: no table, no CSV — the -journal merger
+		// owns the output. The worker claims, heartbeats, runs and
+		// commits points until the queue is drained or it is told to
+		// stop.
 		stats, werr := orion.SweepWorker(ctx, cfg, rates,
 			orion.SweepWorkerOptions{Path: *journalPath, Lease: *leaseDur, Run: runner})
 		fmt.Fprintf(os.Stderr, "orion-sweep: worker %d: %d claims (%d steals), %d commits, %d leases lost, %d backend-down\n",
@@ -347,28 +339,27 @@ func run() (status int) {
 		return exitStatus(caught)
 	}
 
+	zl, err := orion.ZeroLoadLatency(cfg)
+	if err != nil {
+		fail("zero-load: %v", err)
+	}
+	fmt.Printf("zero-load latency: %.2f cycles\n", zl)
 	if *resumeJrnl {
 		if err := reportResume(*journalPath); err != nil {
 			fail("%v", err)
 		}
 	}
-	var results []*orion.Result
-	var sweepErr error
-	if *distributed > 0 {
-		results, sweepErr = runCoordinator(ctx, cfg, rates)
-	} else {
-		// Dispatch concurrency: a couple of in-flight points per backend
-		// keeps the fleet busy without flooding any single admission
-		// queue. Local points default to one per core (Workers 0).
-		results, sweepErr = orion.SweepWith(ctx, cfg, rates, orion.SweepOptions{
-			Journal: *journalPath,
-			Resume:  *resumeJrnl,
-			Lease:   *leaseDur,
-			Run:     runner,
-			Workers: 2 * len(backendURLs),
-		})
-		printPoolStats()
-	}
+	// Dispatch concurrency: a couple of in-flight points per backend
+	// keeps the fleet busy without flooding any single admission queue.
+	// Local points default to one per core (Workers 0).
+	results, sweepErr := orion.SweepWith(ctx, cfg, rates, orion.SweepOptions{
+		Journal: *journalPath,
+		Resume:  *resumeJrnl,
+		Lease:   *leaseDur,
+		Run:     runner,
+		Workers: 2 * len(backendURLs),
+	})
+	printPoolStats()
 	if results == nil && sweepErr != nil {
 		fail("%v", sweepErr)
 	}
@@ -416,181 +407,6 @@ func exitStatus(caught <-chan os.Signal) int {
 	default:
 		return 0
 	}
-}
-
-// runCoordinator is -distributed N: it initialises the shared work-queue
-// journal, spawns N worker subprocesses of this same binary (argv with
-// the coordinator-only flags stripped and -worker added), respawns
-// crashed workers from a bounded budget, and merges the committed
-// results once every point settles. A worker killed mid-point stops
-// heartbeating; its lease expires and a survivor steals and re-runs the
-// point, so the merged curve is byte-identical to a clean
-// single-process sweep.
-func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*orion.Result, error) {
-	n := *distributed
-	if err := orion.CreateSweepQueue(*journalPath, cfg, rates, *resumeJrnl); err != nil {
-		return nil, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("locating worker binary: %w", err)
-	}
-	args := workerArgs(os.Args[1:])
-	fmt.Printf("distributed: %d workers on %s\n", n, *journalPath)
-
-	// wctx governs the worker fleet: cancelling it SIGTERMs the children
-	// (they drop their claims and exit). waitCtx governs the merge wait:
-	// the reaper cancels it if the fleet dies for good, so the
-	// coordinator returns a partial merge instead of waiting forever.
-	wctx, stopWorkers := context.WithCancel(ctx)
-	defer stopWorkers()
-	waitCtx, stopWait := context.WithCancel(ctx)
-	defer stopWait()
-
-	var mu sync.Mutex
-	procs := make(map[int]*os.Process)
-	live, budget := 0, 2*n+2
-	exits := make(chan error, 4*n+4)
-	spawn := func() error {
-		cmd := exec.Command(exe, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return err
-		}
-		pid := cmd.Process.Pid
-		mu.Lock()
-		procs[pid] = cmd.Process
-		live++
-		budget--
-		mu.Unlock()
-		go func() {
-			werr := cmd.Wait()
-			mu.Lock()
-			delete(procs, pid)
-			live--
-			mu.Unlock()
-			exits <- werr
-		}()
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if err := spawn(); err != nil {
-			stopWorkers()
-			return nil, fmt.Errorf("spawning worker: %w", err)
-		}
-	}
-	go func() {
-		<-wctx.Done()
-		mu.Lock()
-		for _, p := range procs {
-			_ = p.Signal(syscall.SIGTERM)
-		}
-		mu.Unlock()
-	}()
-	// Reap worker exits. A crash (non-zero exit, coordinator not
-	// cancelled) is logged and the worker replaced while the budget
-	// lasts; the crashed worker's in-flight point comes back via lease
-	// expiry. When the fleet is gone and cannot be rebuilt, stop the
-	// merge wait — either the queue is already complete (clean exits) or
-	// nothing is left to finish it.
-	go func() {
-		for {
-			select {
-			case <-waitCtx.Done():
-				return
-			case werr := <-exits:
-				mu.Lock()
-				l, b := live, budget
-				mu.Unlock()
-				if werr != nil && wctx.Err() == nil {
-					if b > 0 {
-						fmt.Fprintf(os.Stderr, "orion-sweep: worker died (%v); respawning (%d respawns left)\n", werr, b)
-						if serr := spawn(); serr == nil {
-							continue
-						}
-					} else {
-						fmt.Fprintf(os.Stderr, "orion-sweep: worker died (%v); respawn budget exhausted\n", werr)
-					}
-				}
-				if l == 0 {
-					stopWait()
-					return
-				}
-			}
-		}
-	}()
-
-	results, sweepErr := orion.SweepQueueWait(waitCtx, cfg, rates, *journalPath, 0)
-	// Workers notice completion themselves on their next queue scan; give
-	// them a moment to exit cleanly before resorting to SIGTERM.
-	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); {
-		mu.Lock()
-		l := live
-		mu.Unlock()
-		if l == 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	stopWorkers()
-	// Drain the fleet so no worker outlives the coordinator.
-	for {
-		mu.Lock()
-		l := live
-		mu.Unlock()
-		if l == 0 {
-			break
-		}
-		select {
-		case <-exits:
-		case <-time.After(5 * time.Second):
-			mu.Lock()
-			for _, p := range procs {
-				_ = p.Kill()
-			}
-			mu.Unlock()
-		}
-	}
-	if sweepErr != nil && errors.Is(sweepErr, context.Canceled) && ctx.Err() == nil {
-		sweepErr = fmt.Errorf("worker fleet exited before completing the sweep: %w", sweepErr)
-	}
-	return results, sweepErr
-}
-
-// workerArgs strips the coordinator-only flags from argv and appends
-// -worker, producing the command line for a worker subprocess: same
-// configuration, rates, journal, lease and retries; no -distributed
-// (workers do not recurse), no output or profile flags, and no -resume
-// or -status (the coordinator already prepared the queue).
-func workerArgs(argv []string) []string {
-	valueFlags := map[string]bool{"distributed": true, "csv": true, "cpuprofile": true, "memprofile": true}
-	boolFlags := map[string]bool{"resume": true, "status": true, "worker": true}
-	var out []string
-	for i := 0; i < len(argv); i++ {
-		arg := argv[i]
-		if len(arg) < 2 || arg[0] != '-' {
-			out = append(out, arg)
-			continue
-		}
-		name := strings.TrimLeft(arg, "-")
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			if valueFlags[name[:eq]] || boolFlags[name[:eq]] {
-				continue
-			}
-			out = append(out, arg)
-			continue
-		}
-		if boolFlags[name] {
-			continue
-		}
-		if valueFlags[name] {
-			i++ // the flag's value is the next token; drop both
-			continue
-		}
-		out = append(out, arg)
-	}
-	return append(out, "-worker")
 }
 
 // reportResume prints how much of the journal at path a -resume keeps:

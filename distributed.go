@@ -15,8 +15,8 @@ import (
 )
 
 // Durable sweep execution over the work-queue journal (internal/queue),
-// the one on-disk sweep format: a journaled SweepWith and a fleet of
-// worker processes both run through it.
+// the one on-disk sweep format: a journaled SweepWith and any worker
+// processes that join its file (orion-sweep -worker) both run through it.
 // Any number of SweepWorker loops — goroutines or processes on a shared
 // filesystem — claim points from one queue journal with leased,
 // heartbeat-renewed claim records; expired leases are stolen, so points
@@ -94,13 +94,14 @@ func wrapQueueErr(err error) error {
 }
 
 // CreateSweepQueue initialises (or, with resume set, rejoins) the
-// distributed work-queue journal for a sweep at path. With resume, an
-// existing queue's header must match the configuration and rate list —
-// a mismatch fails with an error wrapping ErrStaleJournal — and every
-// point settled by a transient failure (timeout, panic) is re-opened
-// for re-running, while successes and deterministic failures are kept.
-// A missing file is created either way. Without resume, any existing
-// file is truncated and the sweep starts over.
+// work-queue journal for a sweep at path; SweepWith calls it before its
+// workers start. With resume, an existing queue's header must match the
+// configuration and rate list — a mismatch fails with an error wrapping
+// ErrStaleJournal — and every point settled by a transient failure
+// (timeout, panic) is re-opened for re-running, while successes and
+// deterministic failures are kept. A missing file is created either
+// way. Without resume, any existing file is truncated and the sweep
+// starts over.
 func CreateSweepQueue(path string, cfg Config, rates []float64, resume bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -132,8 +133,8 @@ func CreateSweepQueue(path string, cfg Config, rates []float64, resume bool) err
 
 // SweepWorkerOptions configures one queue worker.
 type SweepWorkerOptions struct {
-	// Path is the shared queue journal (created by CreateSweepQueue or a
-	// -distributed coordinator).
+	// Path is the shared queue journal, created by CreateSweepQueue (a
+	// journaled SweepWith calls it).
 	Path string
 	// WorkerID identifies this worker in claim records; when empty a
 	// host-pid-random identity is generated.
@@ -386,7 +387,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // mergeQueueState decodes the committed payloads into results in index
-// order — the deterministic merge that makes a distributed sweep's
+// order — the deterministic merge that makes a multi-worker sweep's
 // output byte-identical to a sequential Sweep's. Unsettled points stay
 // nil; settled failures are rebuilt as typed errors (FailureError) and
 // aggregated into a *SweepError exactly like Sweep does.
@@ -428,29 +429,6 @@ func loadQueue(cfg Config, rates []float64, path string) (st *queue.State, resul
 	}
 	results, err = mergeQueueState(st, rates)
 	return st, results, err
-}
-
-// SweepQueueWait blocks until every point in the queue journal at path
-// is settled, then merges the committed results in index order —
-// byte-identical to a sequential Sweep of the same configuration. This
-// is the coordinator's second half: workers (separate `orion-sweep
-// -worker` processes, or SweepWorker loops) fill the queue;
-// SweepQueueWait watches and merges. On ctx cancellation the partial
-// merge is returned together with ctx's error.
-func SweepQueueWait(ctx context.Context, cfg Config, rates []float64, path string, poll time.Duration) ([]*Result, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	for {
-		st, results, err := loadQueue(cfg, rates, path)
-		switch {
-		case st == nil || st.Complete():
-			return results, err
-		case ctx.Err() != nil:
-			return results, errors.Join(ctx.Err(), err)
-		}
-		sleepCtx(ctx, poll)
-	}
 }
 
 // sweepJournal is SweepWith's journal path: it creates (or resumes) the

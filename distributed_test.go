@@ -49,13 +49,15 @@ func TestSweepDistributedMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestSweepDistributedChaos is the in-process chaos test: four workers,
+// TestSweepJournalChaos is the in-process chaos test of a multi-process
+// sweep: a journaled SweepWith merges (as orion-sweep -journal does)
+// while four joined workers (orion-sweep -worker) run the same queue,
 // two of which die SIGKILL-style (no drop, no commit) after claiming a
 // point. Their leases expire, the survivors steal the abandoned points,
 // and the merged results must still be bit-identical to a sequential
 // Sweep. Run at two different crash points to vary which points get
 // abandoned.
-func TestSweepDistributedChaos(t *testing.T) {
+func TestSweepJournalChaos(t *testing.T) {
 	cfg := fastConfig(0)
 	rates := []float64{0.02, 0.04, 0.06, 0.08, 0.10, 0.12}
 	clean, err := Sweep(cfg, rates)
@@ -82,6 +84,11 @@ func TestSweepDistributedChaos(t *testing.T) {
 					_, errs[w] = SweepWorker(context.Background(), cfg, rates, opts)
 				}(w, opts)
 			}
+			// The merger joins the queue the joined workers already run
+			// and returns once every point is settled.
+			results, err := SweepWith(context.Background(), cfg, rates, SweepOptions{
+				Journal: path, Resume: true, Workers: 1, Lease: lease,
+			})
 			wg.Wait()
 			for w := 0; w < 2; w++ {
 				// A chaos worker normally dies mid-claim; under heavy load
@@ -97,9 +104,6 @@ func TestSweepDistributedChaos(t *testing.T) {
 					t.Fatalf("surviving worker %d failed: %v", w, errs[w])
 				}
 			}
-			// The survivors finished the queue; the merge must equal the
-			// sequential sweep bit for bit.
-			results, err := SweepQueueWait(context.Background(), cfg, rates, path, 10*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,10 +161,18 @@ func TestSweepWorkerLeaseLost(t *testing.T) {
 	if rival.Steals != 1 || rival.Commits != 1 {
 		t.Fatalf("rival stats = %+v, want one steal and one commit", rival)
 	}
-	// And the committed result is intact and usable.
-	results, err := SweepQueueWait(context.Background(), cfg, rates, path, 5*time.Millisecond)
-	if err != nil || results[0] == nil {
-		t.Fatalf("merge after lease loss: %v, %v", results, err)
+	// And the rival's commit is the one the merger reads back: a resumed
+	// journal sweep keeps it and re-runs nothing.
+	var reruns atomic.Int32
+	results, err := SweepWith(context.Background(), cfg, rates, SweepOptions{
+		Journal: path, Resume: true, Lease: time.Minute,
+		Run: func(ctx context.Context, cfg Config, rate float64) (*Result, error) {
+			reruns.Add(1)
+			return RunPoint(ctx, cfg, rate)
+		},
+	})
+	if err != nil || results[0] == nil || reruns.Load() != 0 {
+		t.Fatalf("merge after lease loss: %v, %v, %d re-runs", results, err, reruns.Load())
 	}
 }
 

@@ -34,27 +34,43 @@ func TestResolveValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // when set, a substring of the Validate error
 	}{
-		{"zero width", func(c *Config) { c.Width = 0 }},
-		{"negative height", func(c *Config) { c.Height = -1 }},
-		{"bad router kind", func(c *Config) { c.Router.Kind = RouterKind(9) }},
-		{"bad rate", func(c *Config) { c.Traffic.Rate = 1.5 }},
-		{"negative rate", func(c *Config) { c.Traffic.Rate = -0.1 }},
-		{"bad pattern", func(c *Config) { c.Traffic.Pattern.Kind = PatternKind(99) }},
-		{"broadcast source range", func(c *Config) { c.Traffic.Pattern = BroadcastFrom(99) }},
-		{"hotspot range", func(c *Config) { c.Traffic.Pattern = Pattern{Kind: PatternHotspot, Source: -1} }},
-		{"bad arbiter", func(c *Config) { c.Sim.Arbiter = ArbiterKind(9) }},
+		{"zero width", func(c *Config) { c.Width = 0 }, ""},
+		{"negative height", func(c *Config) { c.Height = -1 }, ""},
+		{"bad router kind", func(c *Config) { c.Router.Kind = RouterKind(9) }, ""},
+		{"bad rate", func(c *Config) { c.Traffic.Rate = 1.5 }, ""},
+		{"negative rate", func(c *Config) { c.Traffic.Rate = -0.1 }, ""},
+		{"bad pattern", func(c *Config) { c.Traffic.Pattern.Kind = PatternKind(99) }, ""},
+		{"broadcast source range", func(c *Config) { c.Traffic.Pattern = BroadcastFrom(99) }, ""},
+		{"hotspot range", func(c *Config) { c.Traffic.Pattern = Pattern{Kind: PatternHotspot, Source: -1} }, ""},
+		{"bad arbiter", func(c *Config) { c.Sim.Arbiter = ArbiterKind(9) }, ""},
 		{"transpose non-square", func(c *Config) {
 			c.Height = 2
 			c.Traffic.Pattern = Pattern{Kind: PatternTranspose}
-		}},
+		}, ""},
+		{"single terminal", func(c *Config) { c.Width, c.Height = 1, 1 },
+			"Width/Height/Depth/Concentration: network needs at least two terminals, got 1"},
 	}
 	for _, tc := range cases {
 		cfg := fastConfig(0.05)
 		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
+	}
+	// Two terminals on one router are enough.
+	spec, err := ParseTopologySpec("cmesh1x1x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(0.05)
+	spec.Apply(&cfg)
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("cmesh1x1x2: %v", err)
 	}
 }
 

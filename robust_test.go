@@ -295,6 +295,21 @@ func TestValidateAggregates(t *testing.T) {
 	}
 }
 
+// TestZeroLoadLatencyValidates: the zero-load probe and the saturation
+// search built on it reject an invalid configuration with Validate's
+// field-qualified error before running anything, as Run does.
+func TestZeroLoadLatencyValidates(t *testing.T) {
+	cfg := fastConfig(0)
+	cfg.Sim.SamplePackets = -5
+	const want = "Sim.SamplePackets: must not be negative"
+	if _, err := ZeroLoadLatency(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ZeroLoadLatency = %v, want an error containing %q", err, want)
+	}
+	if _, _, res, err := SaturationThroughput(cfg, []float64{0.02}); err == nil || !strings.Contains(err.Error(), want) || res != nil {
+		t.Errorf("SaturationThroughput = %v, %v, want no results and an error containing %q", res, err, want)
+	}
+}
+
 // TestParseFaultSpec exercises the CLI fault grammar.
 func TestParseFaultSpec(t *testing.T) {
 	fs, err := ParseFaultSpec("link-stall:3:1, bit-flip:0:2:1000:500:0.01,link-drop:5:0:200")

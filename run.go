@@ -466,7 +466,11 @@ func RunTrace(cfg Config, trace io.Reader) (*Result, error) {
 }
 
 // ZeroLoadLatency measures the configuration's contention-free latency.
+// Like Run, it validates the configuration first.
 func ZeroLoadLatency(cfg Config) (float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
 	if cfg.Traffic.Rate == 0 {
 		cfg.Traffic.Rate = 0.01
 	}

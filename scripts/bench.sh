@@ -8,9 +8,10 @@
 # sweeps (Fig5 VC64 and the 1024-node 32x32 mesh, each at 1/2/4/8 tick
 # workers), and writes one JSON document with ns/op, B/op, allocs/op and
 # the custom metrics (sim-cycles/sec, latency, power) per benchmark, plus
-# enough environment metadata to compare runs across machines — including
-# the CPU count, without which the worker-sweep numbers are meaningless
-# (workers beyond the core count only contend).
+# the host fingerprint that perfbench also prints — CPU model, CPU count
+# and Go version — so scripts/bench_compare.sh can tell when it compares
+# numbers from unlike machines. Without the CPU count the worker-sweep
+# numbers are meaningless (workers beyond the core count only contend).
 #
 # Usage:
 #   scripts/bench.sh [output.json]      # default output: BENCH_hotpath.json
@@ -32,6 +33,10 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 CPUS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
+# The first "model name" line of /proc/cpuinfo, as perfbench reads it
+# (quotes and backslashes dropped so the JSON stays valid).
+CPU_MODEL="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')"
+CPU_MODEL="${CPU_MODEL:-unknown}"
 if [ -z "${WORKERS_SWEEP:-}" ]; then
     if [ "$CPUS" -le 1 ]; then
         echo "bench: $CPUS CPU(s) online — skipping the worker-count sweep (WORKERS_SWEEP=1 to force)"
@@ -56,12 +61,14 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     -v goversion="$(go version | cut -d' ' -f3)" \
     -v benchtime="$BENCHTIME" \
     -v cpus="$CPUS" \
+    -v cpumodel="$CPU_MODEL" \
     -v scaling="$SCALING" '
 BEGIN {
     printf "{\n"
     printf "  \"date\": \"%s\",\n", date
     printf "  \"go\": \"%s\",\n", goversion
     printf "  \"benchtime\": \"%s\",\n", benchtime
+    printf "  \"cpu_model\": \"%s\",\n", cpumodel
     printf "  \"cpus\": %d,\n", cpus
     printf "  \"scaling\": %s,\n", scaling
     printf "  \"benchmarks\": [\n"

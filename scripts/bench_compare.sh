@@ -31,6 +31,13 @@
 # a parallel bench measures contention, and gating against it would
 # punish the first run on a real multicore machine.
 #
+# The baseline records the host it was taken on (cpu_model, cpus, go;
+# scripts/bench.sh writes them). When this host's CPU model, CPU count or
+# Go version differs from the baseline's, or the baseline carries no CPU
+# model at all, the script prints a WARNING banner before and after the
+# gate: the deltas then compare machines as well as code. The gate itself
+# still runs with the same bound.
+#
 # Usage:
 #   scripts/bench_compare.sh [baseline.json]   # default: BENCH_hotpath.json
 #   BENCH_TOLERANCE_PCT=25 scripts/bench_compare.sh   # looser gate (noisy CI)
@@ -53,6 +60,38 @@ fi
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
+# Host fingerprint: this host's, read as scripts/bench.sh records it, and
+# the baseline's.
+CPU_MODEL="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')"
+CPU_MODEL="${CPU_MODEL:-unknown}"
+CPUS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
+GOVERSION="$(go version | cut -d' ' -f3)"
+base_field() {
+    sed -n "s/^  \"$1\": \"\{0,1\}//p" "$BASE" | head -n 1 | sed 's/"\{0,1\},\{0,1\}$//'
+}
+BASE_MODEL="$(base_field cpu_model)"
+BASE_CPUS="$(base_field cpus)"
+BASE_GO="$(base_field go)"
+HOST_WARN=()
+if [ -z "$BASE_MODEL" ]; then
+    HOST_WARN+=("$BASE has no host fingerprint (no cpu_model): re-record it with scripts/bench.sh")
+elif [ "$BASE_MODEL" != "$CPU_MODEL" ]; then
+    HOST_WARN+=("CPU model: baseline \"$BASE_MODEL\", this host \"$CPU_MODEL\"")
+fi
+[ "$BASE_CPUS" = "$CPUS" ] || HOST_WARN+=("cpus: baseline ${BASE_CPUS:-unrecorded}, this host $CPUS")
+[ "$BASE_GO" = "$GOVERSION" ] || HOST_WARN+=("Go: baseline ${BASE_GO:-unrecorded}, this host $GOVERSION")
+host_warning() {
+    [ "${#HOST_WARN[@]}" -gt 0 ] || return 0
+    echo "WARNING: ==================================================================="
+    echo "WARNING: this host does not match the baseline's; the ns/op deltas compare"
+    echo "WARNING: machines as well as code:"
+    for w in "${HOST_WARN[@]}"; do
+        echo "WARNING:   $w"
+    done
+    echo "WARNING: ==================================================================="
+}
+host_warning
+
 {
     go test ./internal/router -run '^$' -bench 'BenchmarkRouterTick' -benchtime "$BENCHTIME"
     go test . -run '^$' -bench 'BenchmarkFig5VC64$|BenchmarkFig5VC64LowLoad$|BenchmarkSimulatorSpeed$|BenchmarkRunNoSnapshot$|BenchmarkRunSnapshotEvery1k$|BenchmarkMesh32VC8Workers1$|BenchmarkMesh32VC8LowLoad$' -benchtime "$BENCHTIME"
@@ -65,6 +104,7 @@ echo "=== bench gate: current vs $BASE (tolerance ${TOL}%) ==="
 # array; pull the name and ns/op out of each. Current numbers come from
 # the raw `go test -bench` lines above. Compare only names in the gate
 # list that appear in both sets.
+status=0
 awk -v tol="$TOL" '
 BEGIN {
     ngate = split("BenchmarkRouterTickWormhole BenchmarkRouterTickVC " \
@@ -140,4 +180,6 @@ END {
         printf "\nbench gate OK with %d WARNING(s): some gated benchmarks were not measured (see above).\n", missing
     else
         printf "\nbench gate OK: no ns/op regression beyond %s%%.\n", tol
-}' "$BASE" "$RAW"
+}' "$BASE" "$RAW" || status=$?
+host_warning
+exit "$status"

@@ -11,7 +11,10 @@
 #   3. orion-power takes both -arbiter round-robin and -arbiter rr;
 #   4. orion-sweep -preset is case-insensitive;
 #   5. a bad enum value exits 2 naming its flag;
-#   6. a random port-stall fault is rejected (it is not a link fault).
+#   6. a random port-stall fault is rejected (it is not a link fault);
+#   7. orion-sweep -worker rejects -csv and -resume, which only the
+#      -journal merger acts on;
+#   8. an invalid config fails orion-sweep before any point runs.
 #
 # Usage: scripts/cli_smoke.sh
 set -euo pipefail
@@ -67,5 +70,31 @@ if "$WORK/orion" -fault-links 1 -fault-kind port-stall -dump-config > /dev/null 
 fi
 grep -q 'port-stall' "$WORK/stall.err" || fail "port-stall rejection does not name the kind: $(cat "$WORK/stall.err")"
 echo "ok: orion -fault-links 1 -fault-kind port-stall is rejected"
+
+# 7. A joined worker writes no output and resumes nothing.
+for flagname in -csv -resume; do
+    extra=("$flagname")
+    [ "$flagname" = -csv ] && extra+=("$WORK/w.csv")
+    set +e
+    "$WORK/orion-sweep" -worker -journal "$WORK/q.wal" "${extra[@]}" > /dev/null 2> "$WORK/worker.err"
+    status=$?
+    set -e
+    [ "$status" -eq 1 ] || fail "orion-sweep -worker $flagname exited $status, want 1"
+    grep -q -- "^orion-sweep: $flagname:" "$WORK/worker.err" ||
+        fail "orion-sweep -worker $flagname did not name $flagname: $(cat "$WORK/worker.err")"
+    [ ! -e "$WORK/q.wal" ] || fail "orion-sweep -worker $flagname touched the queue"
+done
+echo "ok: orion-sweep -worker rejects -csv and -resume"
+
+# 8. Validation runs before the sweep: exit 1, field named, no CSV.
+set +e
+"$WORK/orion-sweep" -samples -5 -rates 0.02 -csv "$WORK/neg.csv" > /dev/null 2> "$WORK/neg.err"
+status=$?
+set -e
+[ "$status" -eq 1 ] || fail "orion-sweep -samples -5 exited $status, want 1"
+grep -q 'Sim.SamplePackets: must not be negative' "$WORK/neg.err" ||
+    fail "orion-sweep -samples -5 did not name Sim.SamplePackets: $(cat "$WORK/neg.err")"
+[ ! -e "$WORK/neg.csv" ] || fail "orion-sweep -samples -5 wrote a CSV"
+echo "ok: orion-sweep -samples -5 exits 1 naming Sim.SamplePackets"
 
 echo "PASS: cli smoke"

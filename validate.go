@@ -11,8 +11,9 @@ import (
 // detectable problem into one error (errors.Join) with field-qualified
 // messages, so a hand-written or JSON-loaded configuration reports all its
 // mistakes at once instead of one per run attempt. Run, RunContext, Sweep,
-// SweepContext and LoadConfigJSON all call it, so explicit calls are only
-// needed to fail early (e.g. validating user input before a long sweep).
+// SweepContext, ZeroLoadLatency and LoadConfigJSON all call it, so
+// explicit calls are only needed to fail early (e.g. validating user
+// input before a long sweep).
 func (cfg Config) Validate() error {
 	var errs []error
 	check := func(ok bool, field, format string, args ...any) {
@@ -27,11 +28,15 @@ func (cfg Config) Validate() error {
 	// fuzzed "Width": 50000, "Height": 50000 must be rejected here, not
 	// after an 8-billion-element allocation.
 	const maxNodes = 1 << 20
+	terminals := int64(cfg.Width) * int64(cfg.Height) * int64(max(cfg.Depth, 1)) * int64(max(cfg.Concentration, 1))
 	check(cfg.Width <= maxNodes && cfg.Height <= maxNodes && cfg.Depth <= maxNodes &&
-		cfg.Concentration <= maxNodes &&
-		int64(cfg.Width)*int64(cfg.Height)*int64(max(cfg.Depth, 1))*int64(max(cfg.Concentration, 1)) <= maxNodes,
+		cfg.Concentration <= maxNodes && terminals <= maxNodes,
 		"Width/Height/Depth", "topology of %d×%d×%d nodes exceeds the %d-node limit",
 		cfg.Width, cfg.Height, max(cfg.Depth, 1)*max(cfg.Concentration, 1), maxNodes)
+	// A lone terminal has no destination for its traffic: the run would
+	// spin to its progress window and fail as a deadlock.
+	check(cfg.Width <= 0 || cfg.Height <= 0 || terminals >= 2, "Width/Height/Depth/Concentration",
+		"network needs at least two terminals, got %d", terminals)
 	check(!(cfg.Depth > 1 && cfg.Mesh), "Depth",
 		"3-D networks are torus only")
 	check(cfg.Concentration >= 0, "Concentration",
